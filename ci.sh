@@ -18,6 +18,9 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # diffed below like the BENCH artifacts.
 run cargo run --release -q -p capsacc-lint -- --deny --json LINT_report.json
 run cargo build --release
+# The benchmark is a workspace of its own; build it so a serve or core
+# API change that breaks it fails here, not in the benchmark run.
+run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 run cargo test --workspace -q
 # Benches are excluded from `cargo test`; make sure they still compile.
 run cargo bench -p capsacc-bench --no-run
@@ -29,29 +32,31 @@ run cargo run --release -q -p capsacc-bench --bin exp_batch
 # (engine ≡ closed-form memory replay, zero ideal stalls) and the
 # prefetch-recovery bound, and refreshes BENCH_mem.json.
 run cargo run --release -q -p capsacc-bench --bin exp_memdse
-# Serving smoke run: asserts the ≥3x worker-scaling bound (4 workers vs
-# 1 at fixed max_batch) on BOTH service tables (closed-form model and
-# the engine table measured from parallel+SIMD functional BatchRuns at
-# MNIST scale), the offline anchor (online runtime ≡ offline pipeline
-# with overload features disabled), the overload invariants (flash
-# crowd sheds on the bounded queue — closed-form and engine-table —
-# and the post-spike served fraction recovers to ≥95% of the pre-spike
-# level), monotonicity + batch amortization of the engine service
-# table, byte-identical determinism of every sweep (event digests
-# included), and shard-pool trace bit-exactness at the tiny scale;
-# refreshes BENCH_serve.json — saturating + overload sweeps on both
-# tables, engine_service_cycles, million-request diurnal scale point —
-# so the serving-perf trajectory is recorded.
+# Serving smoke run: every sweep goes through the one serving runtime.
+# Refreshes BENCH_serve.json — saturating + overload sweeps on both
+# service tables (closed-form model and the engine table measured from
+# parallel+SIMD functional BatchRuns at MNIST scale),
+# engine_service_cycles, million-request diurnal scale point — so the
+# serving-perf trajectory is recorded, and only then asserts the ≥3x
+# worker-scaling bound (4 workers vs 1 at fixed max_batch) on both
+# tables, monotonicity + batch amortization of the engine service
+# table, the overload invariants (flash crowd sheds on the bounded
+# queue — closed-form and engine-table — and the post-spike served
+# fraction recovers to ≥95% of the pre-spike level), byte-identical
+# determinism of every sweep (event digests included), and shard-pool
+# trace bit-exactness at the tiny scale. (The runtime ≡ offline-replay
+# anchor over the same sweep lives in tests/serve_equivalence.rs.)
 run cargo run --release -q -p capsacc-bench --bin exp_serve
-# Fault-tolerance smoke run: asserts conservation under faults (no run
-# loses a request while batches crash and requeue), the recovery
+# Fault-tolerance smoke run: writes BENCH_faults.json, then asserts
+# conservation under faults (no run loses a request while batches
+# crash and requeue), the recovery
 # headline (≥90% goodput at a 1% worker-crash rate with the standard
 # retry budget), faults-off invisibility (zero-rate FaultPlan ≡
 # ResilienceConfig::none(), digest-exact), hedging efficacy (hedges
 # fire, win, and never worsen p99 under rare heavy stragglers),
 # degradation efficacy (quality shifts serve at least as much as full
 # quality under sustained overload), and byte-identical rerun
-# determinism of every fault sweep; refreshes BENCH_faults.json.
+# determinism of every fault sweep.
 run cargo run --release -q -p capsacc-bench --bin exp_faults
 # Engine wall-clock smoke run: asserts ticked, functional-scalar and
 # functional-SIMD (the parallel backend) are bit-identical on a full

@@ -2,9 +2,11 @@
 //! configuration: the online serving runtime under seeded
 //! [`FaultPlan`]s, measuring what recovery costs and what it buys.
 //!
-//! Three sweeps, all through [`simulate_runtime_resilient`] (so
-//! memory-layer faults surcharge respawn warmups and graceful
-//! degradation really re-prices the service table):
+//! Three sweeps, all through [`run_runtime_resilient`] with a
+//! [`ServiceModel`] built from [`degraded_service_tables`] (so graceful
+//! degradation really re-prices the service table) and respawn warmups
+//! staged through [`MemorySubsystem::stage_weights_faulted`] (so
+//! memory-layer faults surcharge them):
 //!
 //! 1. **crash × retry** — worker crash rate {0, 1%, 5%} per dispatch
 //!    against retry budgets {1, 3, 5}: goodput, p99, retry-exhausted
@@ -17,7 +19,10 @@
 //!    off vs on: served fraction when routing iterations shed 3→2→1
 //!    under queue pressure.
 //!
-//! Asserts fault-tolerance invariants on every run:
+//! Every row is computed, printed and written to `BENCH_faults.json`
+//! (into the current directory, so CI records the fault-tolerance
+//! trajectory — see `ci.sh`) before any assert runs, so a failing run
+//! leaves its numbers behind. Then it asserts:
 //!
 //! 1. **conservation** — no run loses a request: served and rejected
 //!    partition the offered set even while batches crash and requeue;
@@ -33,27 +38,55 @@
 //!    overload;
 //! 6. **determinism** — rerunning every sweep produces byte-identical
 //!    reports, event digests included (virtual time only).
-//!
-//! Emits `BENCH_faults.json` into the current directory so CI records
-//! the fault-tolerance trajectory (see `ci.sh`).
 
 use std::fs;
 
 use capsacc_bench::{json_row, print_table, BenchJson};
 use capsacc_capsnet::CapsNetConfig;
-use capsacc_core::AcceleratorConfig;
+use capsacc_core::{AcceleratorConfig, MemorySubsystem};
 use capsacc_faults::{FaultPlan, ServeFaults};
 use capsacc_power::PowerModel;
 use capsacc_serve::{
-    service_cycles_table, simulate_runtime_resilient, workload_trace, ArrivalRegime, BatcherConfig,
-    ClassConfig, DegradeConfig, HedgeConfig, Request, ResilienceConfig, RetryConfig, RuntimeConfig,
-    RuntimeOutcome, WorkloadConfig,
+    degraded_service_tables, run_runtime_resilient, service_cycles_table, worker_warmup_cycles,
+    workload_trace, ArrivalRegime, BatcherConfig, ClassConfig, DegradeConfig, HedgeConfig,
+    NullSink, Request, ResilienceConfig, RetryConfig, RuntimeConfig, RuntimeOutcome, ServiceModel,
+    WorkloadConfig,
 };
+use capsacc_tensor::u64_from;
 
 /// The one seed every plan in this binary derives from — the lint
 /// gate (`fault-seed`) and the rerun assert both key off plans being
 /// explicit about it.
 const FAULT_SEED: u64 = 0xFA17;
+
+/// Highest degradation level (routing iterations 3 → 2 → 1).
+const MAX_LEVEL: u32 = 2;
+
+/// Serves `requests` under `rt` at a design point: per-level
+/// closed-form service tables (degradation sheds routing iterations),
+/// and crash replacements re-staging their weights through the faulted
+/// memory path, the `k`-th in its own burst window (`k << 32`).
+fn serve(
+    cfg: &AcceleratorConfig,
+    net: &CapsNetConfig,
+    rt: &RuntimeConfig,
+    requests: &[Request],
+) -> RuntimeOutcome {
+    let tables = degraded_service_tables(cfg, net, rt.batcher.max_batch, MAX_LEVEL);
+    let level = |l: u32| usize::try_from(l.min(MAX_LEVEL)).expect("level fits usize");
+    let param_bytes = u64_from(net.total_parameters());
+    let respawn = |seq: u64| {
+        MemorySubsystem::new(cfg.memory)
+            .stage_weights_faulted(param_bytes, &rt.resilience.faults, seq << 32)
+            .cycles
+    };
+    let model = ServiceModel {
+        service: &|l, n| tables[level(l)][n],
+        respawn_warmup: &respawn,
+    };
+    let warmup = worker_warmup_cycles(cfg, net);
+    run_runtime_resilient(rt, requests, &model, warmup, &mut NullSink)
+}
 
 /// One measured point of the crash × retry sweep.
 struct CrashRow {
@@ -68,6 +101,7 @@ struct CrashRow {
     wasted_cycles: u64,
     wasted_uj: f64,
     event_digest: u64,
+    conserved: bool,
 }
 
 /// One measured point of the hedging / degradation comparisons.
@@ -80,31 +114,27 @@ struct PolicyRow {
     wasted_cycles: u64,
     wasted_uj: f64,
     event_digest: u64,
+    conserved: bool,
 }
 
 /// Conservation under faults: every offered request is served exactly
 /// once XOR rejected exactly once, crashes and requeues included, and
 /// the per-class ledgers add up.
-fn assert_no_request_lost(requests: &[Request], out: &RuntimeOutcome, label: &str) {
-    assert_eq!(out.total_requests, requests.len(), "{label}");
+fn no_request_lost(requests: &[Request], out: &RuntimeOutcome) -> bool {
     let mut seen = vec![0u32; requests.len()];
-    for &r in &out.served {
+    for &r in out
+        .served
+        .iter()
+        .chain(out.rejections.iter().map(|r| &r.request))
+    {
         seen[r] += 1;
     }
-    for r in &out.rejections {
-        seen[r.request] += 1;
-    }
-    assert!(
-        seen.iter().all(|&c| c == 1),
-        "{label}: a request was lost or double-counted under faults"
-    );
-    for c in &out.class_stats {
-        assert_eq!(
-            c.offered,
-            c.served + c.shed + c.infeasible + c.retry_exhausted,
-            "{label}: per-class ledger does not add up"
-        );
-    }
+    out.total_requests == requests.len()
+        && seen.iter().all(|&c| c == 1)
+        && out
+            .class_stats
+            .iter()
+            .all(|c| c.offered == c.served + c.shed + c.infeasible + c.retry_exhausted)
 }
 
 /// A bursty two-class workload with comfortable headroom on the
@@ -153,7 +183,6 @@ fn crash_plan(rate: f64) -> FaultPlan {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn crash_sweep(
     cfg: &AcceleratorConfig,
     net: &CapsNetConfig,
@@ -176,12 +205,7 @@ fn crash_sweep(
                     degrade: None,
                 },
             );
-            let out = simulate_runtime_resilient(cfg, net, &rt, requests);
-            assert_no_request_lost(
-                requests,
-                &out,
-                &format!("crash sweep rate {crash_rate} attempts {max_attempts}"),
-            );
+            let out = serve(cfg, net, &rt, requests);
             let [_, _, p99] = out.sim.latency_percentiles();
             rows.push(CrashRow {
                 crash_rate,
@@ -195,6 +219,7 @@ fn crash_sweep(
                 wasted_cycles: out.faults.wasted_cycles,
                 wasted_uj: out.faults.wasted_cycles as f64 * uj_per_cycle,
                 event_digest: out.event_digest,
+                conserved: no_request_lost(requests, &out),
             });
         }
     }
@@ -231,8 +256,7 @@ fn hedge_rows(
                     degrade: None,
                 },
             );
-            let out = simulate_runtime_resilient(cfg, net, &rt, requests);
-            assert_no_request_lost(requests, &out, "hedging comparison");
+            let out = serve(cfg, net, &rt, requests);
             let [_, _, p99] = out.sim.latency_percentiles();
             PolicyRow {
                 enabled,
@@ -243,6 +267,7 @@ fn hedge_rows(
                 wasted_cycles: out.faults.wasted_cycles,
                 wasted_uj: out.faults.wasted_cycles as f64 * uj_per_cycle,
                 event_digest: out.event_digest,
+                conserved: no_request_lost(requests, &out),
             }
         })
         .collect()
@@ -295,8 +320,7 @@ fn degrade_rows(
                     }),
                 },
             );
-            let out = simulate_runtime_resilient(cfg, net, &rt, &requests);
-            assert_no_request_lost(&requests, &out, "degradation comparison");
+            let out = serve(cfg, net, &rt, &requests);
             let [_, _, p99] = out.sim.latency_percentiles();
             let degraded_served: usize = out.class_stats.iter().map(|c| c.degraded).sum();
             PolicyRow {
@@ -308,6 +332,7 @@ fn degrade_rows(
                 wasted_cycles: out.faults.wasted_cycles,
                 wasted_uj: out.faults.wasted_cycles as f64 * uj_per_cycle,
                 event_digest: out.event_digest,
+                conserved: no_request_lost(&requests, &out),
             }
         })
         .collect();
@@ -421,6 +446,31 @@ fn main() {
     let requests = bursty_workload(17, 1_500, per_request, table[1]);
     let crash = crash_sweep(&cfg, &net, &requests, per_request, uj_per_cycle);
     print_crash_sweep(&crash);
+    // The hedging comparison runs a longer trace so the rare stragglers
+    // appear in force.
+    let hedge_requests = bursty_workload(19, 4_000, per_request, table[1]);
+    let hedge = hedge_rows(&cfg, &net, &hedge_requests, per_request, uj_per_cycle);
+    let (degrade_requests, degrade) = degrade_rows(&cfg, &net, per_request, table[1], uj_per_cycle);
+
+    let json = render_json(&crash, &hedge, &degrade, power_mw);
+    match fs::write("BENCH_faults.json", &json) {
+        Ok(()) => println!("\nWrote BENCH_faults.json"),
+        Err(e) => println!("\nWARNING: could not write BENCH_faults.json: {e}"),
+    }
+
+    // Invariant 1: no run lost a request.
+    for (i, r) in crash.iter().enumerate() {
+        assert!(
+            r.conserved,
+            "crash sweep row {i}: a request was lost under faults"
+        );
+    }
+    for (i, r) in hedge.iter().chain(&degrade).enumerate() {
+        assert!(
+            r.conserved,
+            "hedge/degrade row {i}: a request was lost under faults"
+        );
+    }
 
     // Invariant 3: faults-off rows are identical across retry budgets
     // and bit-exact against a plain ResilienceConfig::none() run — the
@@ -432,7 +482,7 @@ fn main() {
             "faults-off behavior must not depend on the retry budget"
         );
     }
-    let baseline = simulate_runtime_resilient(
+    let baseline = serve(
         &cfg,
         &net,
         &runtime(per_request, ResilienceConfig::none()),
@@ -472,10 +522,7 @@ fn main() {
         headline.wasted_uj
     );
 
-    // Invariant 4: hedging fires, wins, and does not worsen the tail
-    // (a longer trace so the rare stragglers appear in force).
-    let hedge_requests = bursty_workload(19, 4_000, per_request, table[1]);
-    let hedge = hedge_rows(&cfg, &net, &hedge_requests, per_request, uj_per_cycle);
+    // Invariant 4: hedging fires, wins, and does not worsen the tail.
     let (off, on) = (&hedge[0], &hedge[1]);
     assert!(on.extra > 0, "no hedges fired under the 12x straggler tail");
     assert!(on.extra_wins > 0, "hedges fired but never won");
@@ -492,7 +539,6 @@ fn main() {
     );
 
     // Invariant 5: degradation sheds quality, not requests.
-    let (degrade_requests, degrade) = degrade_rows(&cfg, &net, per_request, table[1], uj_per_cycle);
     let (doff, don) = (&degrade[0], &degrade[1]);
     assert!(
         don.extra > 0,
@@ -515,7 +561,6 @@ fn main() {
     );
 
     // Invariant 6: every sweep reruns byte-identically.
-    let json = render_json(&crash, &hedge, &degrade, power_mw);
     let rerun_crash = crash_sweep(&cfg, &net, &requests, per_request, uj_per_cycle);
     let rerun_hedge = hedge_rows(&cfg, &net, &hedge_requests, per_request, uj_per_cycle);
     let (_, rerun_degrade) = degrade_rows(&cfg, &net, per_request, table[1], uj_per_cycle);
@@ -525,9 +570,4 @@ fn main() {
         "fault sweeps are not deterministic: reruns must be byte-identical"
     );
     println!("Determinism: rerun of every fault sweep is byte-identical (digests included)");
-
-    match fs::write("BENCH_faults.json", &json) {
-        Ok(()) => println!("\nWrote BENCH_faults.json"),
-        Err(e) => println!("\nWARNING: could not write BENCH_faults.json: {e}"),
-    }
 }

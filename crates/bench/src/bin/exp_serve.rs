@@ -6,13 +6,15 @@
 //! scale only because the functional backend runs at wall-clock
 //! speed).
 //!
-//! Two sweeps, each run on both service tables:
+//! Two sweeps through the serving runtime, each run on both service
+//! tables:
 //!
-//! 1. **saturating** — the PR-4 offline pipeline under saturating
+//! 1. **saturating** — the runtime with its overload features off
+//!    (unbounded queue, no deadlines, no autoscaler) under saturating
 //!    load: throughput/latency/utilization across workers × batcher
 //!    policies;
-//! 2. **overload-and-recovery** — the online runtime against a flash
-//!    crowd (Spike regime): admission queue bounds × autoscaling, with
+//! 2. **overload-and-recovery** — the runtime against a flash crowd
+//!    (Spike regime): admission queue bounds × autoscaling, with
 //!    goodput, shed rate and per-class SLO attainment columns, plus a
 //!    million-request diurnal scale point.
 //!
@@ -21,25 +23,27 @@
 //! the engine-backed sections record the serving behavior of the
 //! machine as built, not as modeled. Both are emitted side by side.
 //!
-//! Asserts serving invariants on every run:
+//! Every row is computed, printed and written to `BENCH_serve.json`
+//! (into the current directory, so CI records the serving-perf
+//! trajectory — see `ci.sh`) before any assert runs, so a failing run
+//! leaves its numbers behind. Then it asserts:
 //!
 //! 1. **worker scaling** — under saturating load, 4 workers deliver at
 //!    least 3× the aggregate throughput of 1 worker at fixed
 //!    `max_batch`;
-//! 2. **offline anchor** — the online runtime with overload features
-//!    disabled reproduces the offline sweep's outcome bit-exactly;
+//! 2. **engine table shape** — measured service cycles grow with batch
+//!    size and amortize per image;
 //! 3. **overload behavior** — the flash crowd forces a positive shed
 //!    rate on the bounded queue, and the served fraction of post-spike
 //!    arrivals recovers to ≥ 95% of the pre-spike level;
 //! 4. **determinism** — rerunning every sweep produces byte-identical
-//!    reports and event digests (virtual time only, no wall clock).
+//!    reports and event digests (virtual time only, no wall clock);
+//! 5. **engine validation** — at the tiny scale, requests served
+//!    through real OS-thread `BatchScheduler` workers produce traces
+//!    bit-exact against fresh sequential runs.
 //!
-//! Plus a cycle-accurate validation at the tiny scale: requests served
-//! through real OS-thread `BatchScheduler` workers produce traces
-//! bit-exact against fresh sequential runs.
-//!
-//! Emits `BENCH_serve.json` into the current directory so CI records
-//! the serving-perf trajectory (see `ci.sh`).
+//! That the saturating sweep reproduces the offline batch pipeline bit
+//! for bit is pinned by `tests/serve_equivalence.rs`.
 
 use std::fs;
 
@@ -47,10 +51,10 @@ use capsacc_bench::{json_row, print_table, BenchJson};
 use capsacc_capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc_core::{Accelerator, AcceleratorConfig, EngineBackend, TraceLevel};
 use capsacc_serve::{
-    arrival_trace, engine_service_cycles_table, run_runtime, service_cycles_table, simulate_serve,
-    simulate_serve_with_table, workload_trace, ArrivalRegime, AutoscalerConfig, BatcherConfig,
+    arrival_trace, engine_service_cycles_table, run_runtime, serve_with_engine,
+    service_cycles_table, workload_trace, ArrivalRegime, AutoscalerConfig, BatcherConfig,
     ClassConfig, Request, ResilienceConfig, RuntimeConfig, RuntimeOutcome, ScalingEvent,
-    ServeConfig, SimOutcome, TraceConfig, WorkloadConfig,
+    TraceConfig, WorkloadConfig,
 };
 use capsacc_tensor::{u64_from, Tensor};
 
@@ -101,23 +105,42 @@ fn sweep(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> Vec<Row> {
     sweep_with(&table, cfg.clock_mhz as f64 * 1e6)
 }
 
+/// The runtime with its overload features off: unbounded queue, no
+/// deadlines, no autoscaler, no faults.
+fn anchored(workers: usize, max_batch: usize, max_wait_cycles: u64) -> RuntimeConfig {
+    RuntimeConfig {
+        workers,
+        batcher: BatcherConfig {
+            max_batch,
+            max_wait_cycles,
+        },
+        queue_capacity: None,
+        deadline_aware: false,
+        autoscaler: None,
+        record_events: false,
+        resilience: ResilienceConfig::none(),
+    }
+}
+
+/// Best-effort requests at `trace`'s arrival cycles.
+fn best_effort(trace: &TraceConfig) -> Vec<Request> {
+    arrival_trace(trace)
+        .into_iter()
+        .map(Request::best_effort)
+        .collect()
+}
+
 /// The saturating sweep against an arbitrary `service(n)` table —
-/// closed-form or engine-measured; the pipeline does not care where
+/// closed-form or engine-measured; the runtime does not care where
 /// the cycle numbers came from.
 fn sweep_with(table: &[u64], clock_hz: f64) -> Vec<Row> {
+    let requests = best_effort(&trace());
     let mut rows = Vec::new();
     for &max_batch in &[4usize, 16, 32] {
         for &max_wait_cycles in &[10_000u64, 1_000_000] {
             for &workers in &[1usize, 2, 4, 8] {
-                let serve = ServeConfig {
-                    workers,
-                    batcher: BatcherConfig {
-                        max_batch,
-                        max_wait_cycles,
-                    },
-                    trace: trace(),
-                };
-                let out: SimOutcome = simulate_serve_with_table(&serve, table);
+                let rt = anchored(workers, max_batch, max_wait_cycles);
+                let out = run_runtime(&rt, &requests, &|n| table[n], 0).sim;
                 let [p50, p95, p99] = out.latency_percentiles();
                 let mean_utilization =
                     (0..workers).map(|w| out.utilization(w)).sum::<f64>() / workers as f64;
@@ -369,21 +392,15 @@ fn engine_validation() {
             ((i[1] * (s + 2) + i[2] * 7 + s) % 11) as f32 / 11.0
         })
     };
-    let serve = ServeConfig {
-        workers: 3,
-        batcher: BatcherConfig {
-            max_batch: 4,
-            max_wait_cycles: 20_000,
-        },
-        trace: TraceConfig {
-            seed: 5,
-            requests: 12,
-            mean_gap_cycles: 2_500.0,
-            mean_burst: 2.0,
-        },
-    };
-    let (outcome, traces) = capsacc_serve::serve_with_engine(&cfg, &net, &qparams, &serve, &image)
-        .expect("valid serve");
+    let requests = best_effort(&TraceConfig {
+        seed: 5,
+        requests: 12,
+        mean_gap_cycles: 2_500.0,
+        mean_burst: 2.0,
+    });
+    let rt = anchored(3, 4, 20_000);
+    let (outcome, traces) =
+        serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
     assert_eq!(traces.len(), 12);
     for (r, trace) in traces.iter().enumerate() {
         let mut acc = Accelerator::new(cfg);
@@ -396,7 +413,7 @@ fn engine_validation() {
     println!(
         "Engine validation: 12 requests, {} batches over 3 OS-thread workers — \
          every trace bit-exact vs the sequential engine",
-        outcome.batches.len()
+        outcome.sim.batches.len()
     );
 }
 
@@ -470,8 +487,6 @@ fn main() {
         &rows,
         "Serving sweep — MNIST requests on the 16×16 paper config (virtual time)",
     );
-    assert_worker_scaling(&rows, "closed-form");
-    println!("\nWorker scaling: ≥ 3x aggregate throughput at 4 workers vs 1 (all points)");
 
     // The engine-backed service table: real BatchRun cycles per batch
     // size, measured through the parallel+SIMD functional backend —
@@ -483,71 +498,25 @@ fn main() {
     engine_cfg.trace_level = TraceLevel::Outputs;
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
     let etable = engine_service_cycles_table(&engine_cfg, &net, &qparams, SWEEP_MAX_BATCH);
-    for n in 1..etable.len() {
-        assert!(
-            etable[n] > etable[n - 1],
-            "service cycles must grow with batch size"
-        );
-    }
-    for n in 2..etable.len() {
-        assert!(
-            etable[n] < u64_from(n) * etable[1],
-            "batched service must amortize: {} vs {n}x{}",
-            etable[n],
-            etable[1]
-        );
-    }
     let erows = sweep_with(&etable, clock_hz);
     print_sweep(
         &cfg,
         &erows,
         "Serving sweep — engine service table (measured functional-backend BatchRuns)",
     );
-    assert_worker_scaling(&erows, "engine-table");
     println!(
-        "\nEngine table: b1 {} cycles vs closed-form {} — sweep re-run on measured engine \
-         cycles; worker scaling ≥ 3x holds there too",
+        "\nEngine table: b1 {} cycles vs closed-form {}",
         etable[1],
         service_cycles_table(&cfg, &net, 1)[1],
     );
 
-    // Invariant 2: offline anchor — the online runtime with overload
-    // features disabled reproduces the offline pipeline bit-exactly on
-    // the saturating trace, at the paper design point.
+    // The overload-and-recovery sweep: flash crowd sized off the
+    // service table, bounded queues, priorities, optional autoscaling.
     let batcher = BatcherConfig {
         max_batch: 16,
         max_wait_cycles: 10_000,
     };
     let table16 = service_cycles_table(&cfg, &net, batcher.max_batch);
-    let arrivals = arrival_trace(&trace());
-    let anchor_requests: Vec<Request> = arrivals.iter().map(|&a| Request::best_effort(a)).collect();
-    let anchored = RuntimeConfig {
-        workers: 4,
-        batcher,
-        queue_capacity: None,
-        deadline_aware: false,
-        autoscaler: None,
-        record_events: false,
-        resilience: ResilienceConfig::none(),
-    };
-    let online = run_runtime(&anchored, &anchor_requests, &|n| table16[n], 0);
-    let offline = simulate_serve(
-        &cfg,
-        &net,
-        &ServeConfig {
-            workers: 4,
-            batcher,
-            trace: trace(),
-        },
-    );
-    assert_eq!(
-        online.sim, offline,
-        "online runtime diverged from the offline pipeline under anchor settings"
-    );
-    println!("Offline anchor: online runtime ≡ offline pipeline (bit-exact SimOutcome)");
-
-    // The overload-and-recovery sweep: flash crowd sized off the
-    // service table, bounded queues, priorities, optional autoscaling.
     let per_request = table16[16] / 16;
     let warmup = capsacc_serve::worker_warmup_cycles(&cfg, &net);
     let (workload, spike_start, spike_end) = overload_workload(per_request, table16[1]);
@@ -584,79 +553,25 @@ fn main() {
         &otable,
     );
 
-    // Invariant 3a: the bounded queue actually sheds under the spike.
-    let tight = orows
-        .iter()
-        .find(|r| r.queue_capacity == 16 && !r.autoscale)
-        .expect("swept point");
-    assert!(
-        tight.shed_rate > 0.0,
-        "flash crowd failed to overload the bounded queue"
-    );
-    // Autoscaling at the same bound serves at least as much.
-    let tight_scaled = orows
-        .iter()
-        .find(|r| r.queue_capacity == 16 && r.autoscale)
-        .expect("swept point");
-    assert!(
-        tight_scaled.served >= tight.served,
-        "autoscaling must not serve less than the fixed pool"
-    );
-
-    // Invariant 3b: recovery — the served fraction of post-spike
-    // arrivals returns to ≥ 95% of the pre-spike level.
+    // Recovery: the served fraction of arrivals before the spike vs
+    // after it, skipping one queue-drain's worth of tail.
     let recovery_out = run_runtime(&overload_runtime(16, false), &requests, &service, warmup);
     let pre = served_fraction(&requests, &recovery_out, 0, spike_start);
-    // Skip one queue-drain's worth of tail after the spike ends.
     let drain_margin = 16 * per_request;
     let post = served_fraction(&requests, &recovery_out, spike_end + drain_margin, u64::MAX);
-    assert!(
-        post >= 0.95 * pre,
-        "goodput failed to recover after the burst: {post:.3} post-spike vs {pre:.3} pre-spike"
-    );
-    println!(
-        "Overload: shed rate {:.1}% under the spike; served fraction {:.1}% pre vs {:.1}% \
-         post-spike (recovered)",
-        tight.shed_rate * 100.0,
-        pre * 100.0,
-        post * 100.0
-    );
 
     // The same overload experiment on the engine service table: the
     // flash crowd is re-sized off the *measured* per-request cost so
     // the spike still overloads the pool by the same ratio, then the
-    // online runtime runs against engine cycles end to end.
+    // runtime runs against engine cycles end to end.
     let eper_request = etable[16] / 16;
     let (eworkload, _, _) = overload_workload(eper_request, etable[1]);
     let erequests = workload_trace(&eworkload);
     let eservice = |n: usize| etable[n];
     let eorows = overload_sweep(&erequests, &eservice, warmup, clock_hz);
-    let etight = eorows
-        .iter()
-        .find(|r| r.queue_capacity == 16 && !r.autoscale)
-        .expect("swept point");
-    let etight_scaled = eorows
-        .iter()
-        .find(|r| r.queue_capacity == 16 && r.autoscale)
-        .expect("swept point");
-    assert!(
-        etight.shed_rate > 0.0,
-        "flash crowd failed to overload the bounded queue on engine cycles"
-    );
-    assert!(
-        etight_scaled.served >= etight.served,
-        "autoscaling must not serve less than the fixed pool on engine cycles"
-    );
-    println!(
-        "Engine-table overload: shed rate {:.1}% under the spike (queue 16, fixed pool), \
-         autoscaling serves {} vs {}",
-        etight.shed_rate * 100.0,
-        etight_scaled.served,
-        etight.served
-    );
 
-    // Scale point: a million-request diurnal day through the online
-    // runtime with autoscaling — the "millions of users" regime.
+    // Scale point: a million-request diurnal day through the runtime
+    // with autoscaling — the "millions of users" regime.
     let million_cfg = WorkloadConfig {
         seed: 41,
         requests: 1_000_000,
@@ -708,11 +623,6 @@ fn main() {
         million.sim.makespan_cycles
     );
 
-    // Invariant 4: every sweep is deterministic — a rerun serializes
-    // to the identical byte string, event digests included. The engine
-    // *table* is reused across reruns (its own determinism — identical
-    // cycles for identical batch sizes — is pinned by
-    // tests/serve_equivalence.rs); everything downstream of it reruns.
     let json = render_json(
         &rows,
         &orows,
@@ -722,17 +632,87 @@ fn main() {
         (pre, post),
         &million,
     );
-    let rerun_orows = overload_sweep(&requests, &service, warmup, clock_hz);
-    let rerun_eorows = overload_sweep(&erequests, &eservice, warmup, clock_hz);
-    let rerun_million = run_runtime(&million_rt, &million_reqs, &service, warmup);
+    match fs::write("BENCH_serve.json", &json) {
+        Ok(()) => println!("\nWrote BENCH_serve.json"),
+        Err(e) => println!("\nWARNING: could not write BENCH_serve.json: {e}"),
+    }
+
+    // Invariant 1: worker scaling, on both service tables.
+    assert_worker_scaling(&rows, "closed-form");
+    assert_worker_scaling(&erows, "engine-table");
+    println!(
+        "\nWorker scaling: ≥ 3x aggregate throughput at 4 workers vs 1 (all points, both tables)"
+    );
+
+    // Invariant 2: the engine table grows with batch size and
+    // amortizes per image.
+    for n in 1..etable.len() {
+        assert!(
+            etable[n] > etable[n - 1],
+            "service cycles must grow with batch size"
+        );
+    }
+    for n in 2..etable.len() {
+        assert!(
+            etable[n] < u64_from(n) * etable[1],
+            "batched service must amortize: {} vs {n}x{}",
+            etable[n],
+            etable[1]
+        );
+    }
+
+    // Invariant 3a: the bounded queue actually sheds under the spike,
+    // and autoscaling at the same bound serves at least as much — on
+    // both service tables.
+    for (rows, label) in [(&orows, "closed-form"), (&eorows, "engine-table")] {
+        let at = |autoscale: bool| {
+            rows.iter()
+                .find(|r| r.queue_capacity == 16 && r.autoscale == autoscale)
+                .expect("swept point")
+        };
+        let (tight, tight_scaled) = (at(false), at(true));
+        assert!(
+            tight.shed_rate > 0.0,
+            "flash crowd failed to overload the bounded queue ({label})"
+        );
+        assert!(
+            tight_scaled.served >= tight.served,
+            "autoscaling must not serve less than the fixed pool ({label})"
+        );
+        println!(
+            "Overload ({label}): shed rate {:.1}% under the spike (queue 16, fixed pool), \
+             autoscaling serves {} vs {}",
+            tight.shed_rate * 100.0,
+            tight_scaled.served,
+            tight.served
+        );
+    }
+
+    // Invariant 3b: recovery — the served fraction of post-spike
+    // arrivals returns to ≥ 95% of the pre-spike level.
+    assert!(
+        post >= 0.95 * pre,
+        "goodput failed to recover after the burst: {post:.3} post-spike vs {pre:.3} pre-spike"
+    );
+    println!(
+        "Recovery: served fraction {:.1}% pre vs {:.1}% post-spike",
+        pre * 100.0,
+        post * 100.0
+    );
+
+    // Invariant 4: every sweep is deterministic — a rerun serializes
+    // to the identical byte string, event digests included. The engine
+    // *table* is reused across reruns (its own determinism — identical
+    // cycles for identical batch sizes — is pinned by
+    // tests/serve_equivalence.rs); everything downstream of it reruns.
     let rerun = render_json(
         &sweep(&cfg, &net),
-        &rerun_orows,
+        &overload_sweep(&requests, &service, warmup, clock_hz),
         &etable,
         &sweep_with(&etable, clock_hz),
-        &rerun_eorows,
+        &overload_sweep(&erequests, &eservice, warmup, clock_hz),
         (pre, post),
-        &rerun_million,
+        &run_runtime(&million_rt, &million_reqs, &service, warmup),
     );
     assert_eq!(
         json, rerun,
@@ -740,10 +720,6 @@ fn main() {
     );
     println!("Determinism: rerun of every sweep is byte-identical (event digests included)");
 
+    // Invariant 5: shard-pool traces are bit-exact at the tiny scale.
     engine_validation();
-
-    match fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("\nWrote BENCH_serve.json"),
-        Err(e) => println!("\nWARNING: could not write BENCH_serve.json: {e}"),
-    }
 }

@@ -1,4 +1,4 @@
-//! The dynamic micro-batcher.
+//! The dynamic micro-batching policy.
 //!
 //! Serving traffic arrives one request at a time, but the accelerator's
 //! layer-major residency ([`capsacc_core::BatchScheduler`]) only pays
@@ -15,9 +15,10 @@
 //!   deadline, with however many requests arrived by then — arrivals
 //!   *exactly on* the deadline still join).
 //!
-//! Batch formation is a pure function of the arrival trace — it does
-//! not depend on worker availability or service times — which is one
-//! half of the serving simulator's determinism invariant.
+//! [`crate::run_runtime`] enforces the policy online. Without SLO-aware
+//! closing ([`crate::RuntimeConfig::deadline_aware`]) batch formation
+//! depends on the arrival trace alone — not on worker availability or
+//! service times.
 
 use crate::trace::VIRTUAL_TIME_HORIZON;
 
@@ -73,6 +74,28 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Micro-batching policy.
+///
+/// # Example
+///
+/// ```
+/// use capsacc_serve::{run_runtime, BatcherConfig, Request, ResilienceConfig, RuntimeConfig};
+/// let batcher = BatcherConfig { max_batch: 3, max_wait_cycles: 100 };
+/// let rt = RuntimeConfig {
+///     workers: 1,
+///     batcher,
+///     queue_capacity: None,
+///     deadline_aware: false,
+///     autoscaler: None,
+///     record_events: false,
+///     resilience: ResilienceConfig::none(),
+/// };
+/// let requests: Vec<Request> = [0, 10, 11, 12, 500].map(Request::best_effort).to_vec();
+/// let out = run_runtime(&rt, &requests, &|n| 10 * n as u64, 0);
+/// // [0, 10, 11] fills max_batch at cycle 11; [12] closes at its
+/// // deadline 112 (the next arrival is beyond it); [500] likewise.
+/// let batches: Vec<(usize, u64)> = out.sim.batches.iter().map(|b| (b.len, b.close_cycle)).collect();
+/// assert_eq!(batches, [(3, 11), (1, 112), (1, 600)]);
+/// ```
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct BatcherConfig {
     /// Largest batch a worker accepts (closes the batch early).
@@ -106,129 +129,44 @@ impl BatcherConfig {
     }
 }
 
-/// One closed micro-batch: a contiguous run of requests (requests are
-/// batched strictly in arrival order) plus the cycle it closed.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct MicroBatch {
-    /// Index of the first request in the batch.
-    pub first: usize,
-    /// Number of requests in the batch (1 ..= `max_batch`).
-    pub len: usize,
-    /// Cycle the batch closed and became dispatchable.
-    pub close_cycle: u64,
-}
-
-impl MicroBatch {
-    /// The request indices of this batch.
-    pub fn requests(&self) -> std::ops::Range<usize> {
-        self.first..self.first + self.len
-    }
-}
-
-/// Forms micro-batches over a sorted arrival trace.
-///
-/// Every request lands in exactly one batch, batches preserve arrival
-/// order, and each batch's `close_cycle` is at least its last member's
-/// arrival.
-///
-/// # Example
-///
-/// ```
-/// use capsacc_serve::{form_batches, BatcherConfig};
-/// let arrivals = [0, 10, 11, 12, 500];
-/// let cfg = BatcherConfig { max_batch: 3, max_wait_cycles: 100 };
-/// let batches = form_batches(&arrivals, &cfg);
-/// // [0, 10, 11] fills max_batch at cycle 11; [12] closes at its
-/// // deadline 112 (the next arrival is beyond it); [500] likewise.
-/// assert_eq!(batches.len(), 3);
-/// assert_eq!((batches[0].first, batches[0].len, batches[0].close_cycle), (0, 3, 11));
-/// assert_eq!((batches[1].first, batches[1].len, batches[1].close_cycle), (3, 1, 112));
-/// assert_eq!((batches[2].first, batches[2].len, batches[2].close_cycle), (4, 1, 600));
-/// ```
-///
-/// # Panics
-///
-/// Panics if the configuration fails [`BatcherConfig::validate`] or
-/// `arrivals` is not sorted.
-pub fn form_batches(arrivals: &[u64], cfg: &BatcherConfig) -> Vec<MicroBatch> {
-    cfg.validate().expect("invalid batcher configuration");
-    assert!(
-        arrivals.windows(2).all(|w| w[0] <= w[1]),
-        "arrival trace must be sorted"
-    );
-    let mut batches = Vec::new();
-    let mut first = 0;
-    while first < arrivals.len() {
-        let t0 = arrivals[first];
-        // Cannot overflow: validate bounds the wait budget by the
-        // horizon and traces clamp arrivals to it, so the sum is at
-        // most `2^63`. `checked_add` (not `saturating_add`) keeps that
-        // claim honest for hand-built out-of-horizon traces.
-        let deadline = t0
-            .checked_add(cfg.max_wait_cycles)
-            .expect("deadline overflows u64: arrival beyond the virtual-time horizon");
-        let mut next = first + 1;
-        while next < arrivals.len() && next - first < cfg.max_batch && arrivals[next] <= deadline {
-            next += 1;
-        }
-        let len = next - first;
-        let close_cycle = if len == cfg.max_batch {
-            arrivals[next - 1]
-        } else {
-            deadline
-        };
-        batches.push(MicroBatch {
-            first,
-            len,
-            close_cycle,
-        });
-        first = next;
-    }
-    batches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::tests::{anchored_sim, flat_service};
     use proptest::prelude::*;
+
+    /// `(first, len, close_cycle)` of every batch the runtime forms over
+    /// `arrivals`, in close order.
+    fn batches(arrivals: &[u64], max_batch: usize, max_wait: u64) -> Vec<(usize, usize, u64)> {
+        let mut first = 0;
+        anchored_sim(arrivals, 2, max_batch, max_wait, &flat_service)
+            .batches
+            .iter()
+            .map(|b| {
+                first += b.len;
+                (first - b.len, b.len, b.close_cycle)
+            })
+            .collect()
+    }
 
     #[test]
     fn size_trigger_closes_at_last_arrival() {
-        let cfg = BatcherConfig {
-            max_batch: 2,
-            max_wait_cycles: 1000,
-        };
-        let b = form_batches(&[5, 7, 9, 11], &cfg);
-        assert_eq!(b.len(), 2);
-        assert_eq!((b[0].first, b[0].len, b[0].close_cycle), (0, 2, 7));
-        assert_eq!((b[1].first, b[1].len, b[1].close_cycle), (2, 2, 11));
+        assert_eq!(batches(&[5, 7, 9, 11], 2, 1000), [(0, 2, 7), (2, 2, 11)]);
     }
 
     #[test]
     fn deadline_trigger_closes_at_deadline_and_includes_edge_arrivals() {
-        let cfg = BatcherConfig {
-            max_batch: 10,
-            max_wait_cycles: 50,
-        };
         // 50 arrives exactly on the deadline of the batch opened at 0 —
         // it joins; 51 misses it and opens the next batch.
-        let b = form_batches(&[0, 50, 51], &cfg);
-        assert_eq!(b.len(), 2);
-        assert_eq!((b[0].first, b[0].len, b[0].close_cycle), (0, 2, 50));
-        assert_eq!((b[1].first, b[1].len, b[1].close_cycle), (2, 1, 101));
+        assert_eq!(batches(&[0, 50, 51], 10, 50), [(0, 2, 50), (2, 1, 101)]);
     }
 
     #[test]
     fn zero_wait_batches_only_same_cycle_arrivals() {
-        let cfg = BatcherConfig {
-            max_batch: 8,
-            max_wait_cycles: 0,
-        };
-        let b = form_batches(&[3, 3, 3, 4, 9], &cfg);
-        assert_eq!(b.len(), 3);
-        assert_eq!((b[0].len, b[0].close_cycle), (3, 3));
-        assert_eq!((b[1].len, b[1].close_cycle), (1, 4));
-        assert_eq!((b[2].len, b[2].close_cycle), (1, 9));
+        assert_eq!(
+            batches(&[3, 3, 3, 4, 9], 8, 0),
+            [(0, 3, 3), (3, 1, 4), (4, 1, 9)]
+        );
     }
 
     #[test]
@@ -236,53 +174,33 @@ mod tests {
         // The old code saturated `t0 + max_wait_cycles` silently,
         // pinning every deadline to u64::MAX near the top of the range;
         // now the config is rejected up front with a typed error.
-        assert_eq!(
-            BatcherConfig {
-                max_batch: 0,
-                max_wait_cycles: 10,
-            }
-            .validate(),
-            Err(ConfigError::ZeroMaxBatch)
-        );
-        assert_eq!(
-            BatcherConfig {
-                max_batch: 4,
-                max_wait_cycles: u64::MAX,
-            }
-            .validate(),
-            Err(ConfigError::UnrepresentableWait {
-                max_wait_cycles: u64::MAX,
-            })
-        );
-        assert_eq!(
-            BatcherConfig {
-                max_batch: 4,
-                max_wait_cycles: VIRTUAL_TIME_HORIZON + 1,
-            }
-            .validate(),
-            Err(ConfigError::UnrepresentableWait {
-                max_wait_cycles: VIRTUAL_TIME_HORIZON + 1,
-            })
-        );
+        let unrepresentable =
+            |max_wait_cycles| Err(ConfigError::UnrepresentableWait { max_wait_cycles });
+        for (max_batch, max_wait_cycles, want) in [
+            (0, 10, Err(ConfigError::ZeroMaxBatch)),
+            (4, u64::MAX, unrepresentable(u64::MAX)),
+            (
+                4,
+                VIRTUAL_TIME_HORIZON + 1,
+                unrepresentable(VIRTUAL_TIME_HORIZON + 1),
+            ),
+            (4, VIRTUAL_TIME_HORIZON, Ok(())),
+        ] {
+            let cfg = BatcherConfig {
+                max_batch,
+                max_wait_cycles,
+            };
+            assert_eq!(cfg.validate(), want);
+        }
         // The largest representable wait is accepted, and deadlines at
         // the horizon compute exactly instead of saturating.
-        let cfg = BatcherConfig {
-            max_batch: 4,
-            max_wait_cycles: VIRTUAL_TIME_HORIZON,
-        };
-        assert_eq!(cfg.validate(), Ok(()));
-        let b = form_batches(&[VIRTUAL_TIME_HORIZON], &cfg);
-        assert_eq!(b[0].close_cycle, 2 * VIRTUAL_TIME_HORIZON);
-        assert!(b[0].close_cycle < u64::MAX);
+        let b = batches(&[VIRTUAL_TIME_HORIZON], 4, VIRTUAL_TIME_HORIZON);
+        assert_eq!(b, [(0, 1, 2 * VIRTUAL_TIME_HORIZON)]);
     }
 
     #[test]
     fn empty_trace_forms_no_batches() {
-        let cfg = BatcherConfig {
-            max_batch: 4,
-            max_wait_cycles: 10,
-        };
-        assert!(form_batches(&[], &cfg).is_empty());
+        assert!(batches(&[], 4, 10).is_empty());
     }
 
     proptest! {
@@ -300,23 +218,20 @@ mod tests {
         ) {
             let mut t = 0u64;
             let arrivals: Vec<u64> = gaps.iter().map(|&g| { t += g; t }).collect();
-            let cfg = BatcherConfig { max_batch, max_wait_cycles: max_wait };
-            let batches = form_batches(&arrivals, &cfg);
             let mut next = 0usize;
-            for b in &batches {
-                prop_assert_eq!(b.first, next, "batches must tile the trace");
-                prop_assert!(b.len >= 1 && b.len <= max_batch);
-                let last_arrival = arrivals[b.first + b.len - 1];
-                prop_assert!(b.close_cycle >= last_arrival);
-                prop_assert!(b.close_cycle <= arrivals[b.first] + max_wait);
+            for (first, len, close_cycle) in batches(&arrivals, max_batch, max_wait) {
+                prop_assert_eq!(first, next, "batches must tile the trace");
+                prop_assert!(len >= 1 && len <= max_batch);
+                prop_assert!(close_cycle >= arrivals[first + len - 1]);
+                prop_assert!(close_cycle <= arrivals[first] + max_wait);
                 // Deadline-closed batches really were starved: the next
                 // request (if any) must miss the deadline.
-                if b.len < max_batch {
-                    if let Some(&next_arrival) = arrivals.get(b.first + b.len) {
-                        prop_assert!(next_arrival > arrivals[b.first] + max_wait);
+                if len < max_batch {
+                    if let Some(&next_arrival) = arrivals.get(first + len) {
+                        prop_assert!(next_arrival > arrivals[first] + max_wait);
                     }
                 }
-                next = b.first + b.len;
+                next = first + len;
             }
             prop_assert_eq!(next, arrivals.len(), "every request is batched");
         }

@@ -20,12 +20,17 @@ use capsacc_core::{AcceleratorConfig, BatchError, BatchRun, BatchScheduler};
 use capsacc_faults::FaultPlan;
 use capsacc_tensor::{u64_from, Tensor};
 
-/// A failure of a pool run — either a worker refused its input
-/// (typed [`BatchError`]) or a worker *thread* died mid-batch. Both
+use crate::batcher::ConfigError;
+
+/// A failure of a pool-backed serve — an invalid serving configuration
+/// (typed [`ConfigError`]), a worker that refused its input (typed
+/// [`BatchError`]), or a worker *thread* that died mid-batch. All
 /// surface as values: a crashed replica must never hang the pool or
 /// leak a partial result as if it were complete.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PoolError {
+    /// The serving configuration failed validation.
+    Config(ConfigError),
     /// A worker hit a batch-level input error (empty batch, mis-shaped
     /// image).
     Batch(BatchError),
@@ -43,6 +48,7 @@ pub enum PoolError {
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            PoolError::Config(e) => write!(f, "invalid serving configuration: {e}"),
             PoolError::Batch(e) => write!(f, "worker batch error: {e}"),
             PoolError::WorkerPanicked { worker, message } => {
                 write!(f, "shard worker {worker} panicked mid-run: {message}")
@@ -65,9 +71,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 impl std::error::Error for PoolError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            PoolError::Config(e) => Some(e),
             PoolError::Batch(e) => Some(e),
             PoolError::WorkerPanicked { .. } => None,
         }
+    }
+}
+
+impl From<ConfigError> for PoolError {
+    fn from(e: ConfigError) -> Self {
+        PoolError::Config(e)
     }
 }
 

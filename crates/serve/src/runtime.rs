@@ -1,12 +1,11 @@
-//! The online, deterministic virtual-time serving runtime.
+//! The deterministic virtual-time serving runtime — the crate's one
+//! scheduler.
 //!
-//! The offline pipeline (`form_batches` + `dispatch_batches`) replays a
-//! complete trace it can see end to end. This module is the *online*
-//! generalization: arrivals, batch closings, worker completions and
-//! autoscaler decisions are timestamped events processed in one fixed
-//! total order, so the runtime makes every decision with only the past
-//! in view — and still reruns byte-identically, because the only clock
-//! is virtual time.
+//! Arrivals, batch closings, worker completions and autoscaler
+//! decisions are timestamped events processed in one fixed total
+//! order, so the runtime makes every decision with only the past in
+//! view — and still reruns byte-identically, because the only clock is
+//! virtual time.
 //!
 //! # Event model
 //!
@@ -17,7 +16,7 @@
 //!    appears before anything else on a cycle uses it;
 //! 2. **arrival** (rank 1, merged from the sorted trace cursor, never
 //!    heap-resident) — requests arriving *on* a batch's deadline still
-//!    join it, exactly like the offline batcher;
+//!    join it (see [`crate::BatcherConfig`]);
 //! 3. **batch close** (rank 2, tiebreak = generation; stale closes are
 //!    skipped by generation mismatch);
 //! 4. **scale evaluation** (rank 3) — the autoscaler sees the cycle's
@@ -39,8 +38,11 @@
 //! initial workers are weight-resident and pay nothing.
 //!
 //! With shedding, deadlines, priorities and autoscaling all disabled,
-//! this runtime reproduces the offline pipeline's [`SimOutcome`]
-//! bit-exactly (pinned by `tests/serve_equivalence.rs`).
+//! this runtime reproduces, bit-exactly, the [`SimOutcome`] of an
+//! offline replay that forms every batch over the whole trace first and
+//! then dispatches them in close order onto the earliest-free worker.
+//! That replay is kept as a test oracle (`tests/common/serve_oracle.rs`),
+//! and `tests/serve_equivalence.rs` pins the equivalence.
 //!
 //! # Fault tolerance
 //!
@@ -76,10 +78,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use capsacc_faults::{FaultPlan, CRASH_FRACTION_DENOM};
+use capsacc_telemetry::percentile;
 use capsacc_tensor::u64_from;
 
 use crate::batcher::{BatcherConfig, ConfigError};
-use crate::sim::{percentile, BatchStat, RequestStat, SimOutcome};
+use crate::sim::{BatchStat, RequestStat, SimOutcome};
 use crate::trace::{Request, VIRTUAL_TIME_HORIZON};
 
 /// Why the runtime refused a request.
@@ -585,11 +588,11 @@ impl RuntimeConfig {
 /// Everything one online run produced.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RuntimeOutcome {
-    /// The served subset in the offline pipeline's shape: per-request
-    /// stats (ascending request index), per-batch stats (close order,
-    /// completed batches only — retry-exhausted batches are absent and
-    /// later batch indices shift down), per-worker busy cycles (every
-    /// worker ever active), makespan.
+    /// The served subset: per-request stats (ascending request index),
+    /// per-batch stats (close order, completed batches only —
+    /// retry-exhausted batches are absent and later batch indices shift
+    /// down), per-worker busy cycles (every worker ever active),
+    /// makespan.
     pub sim: SimOutcome,
     /// Input indices of the served requests, ascending — `sim.requests[i]`
     /// describes request `served[i]`.
@@ -1227,10 +1230,8 @@ impl<'a> Runtime<'a> {
 
     fn try_dispatch(&mut self, now: u64) {
         while !self.queue.is_empty() {
-            // Earliest-freed active worker, lowest id on ties — the
-            // online analogue of the offline dispatcher's
-            // `min_by_key((free_at, id))`, restricted to workers whose
-            // capacity exists at `now`.
+            // Earliest-freed active worker, lowest id on ties,
+            // restricted to workers whose capacity exists at `now`.
             let Some(worker) = self.free_worker(now) else {
                 break;
             };
@@ -1763,7 +1764,8 @@ impl<'a> Runtime<'a> {
 }
 
 /// Runs the online runtime over a sorted request trace with `service(n)`
-/// cycles per batch of `n`, charging `warmup_cycles` to every
+/// cycles per batch of `n` at every degradation level, charging
+/// `warmup_cycles` to every crash replacement and every
 /// autoscaled spin-up (initial workers are weight-resident and pay
 /// nothing).
 ///
@@ -1782,40 +1784,21 @@ pub fn run_runtime(
     service: &dyn Fn(usize) -> u64,
     warmup_cycles: u64,
 ) -> RuntimeOutcome {
-    run_runtime_with_sink(cfg, requests, service, warmup_cycles, &mut NullSink)
-}
-
-/// [`run_runtime`] with a streaming [`EventSink`] observing every
-/// logged event as it happens.
-///
-/// The sink is purely an observer: for any sink, the returned
-/// [`RuntimeOutcome`] — including [`RuntimeOutcome::event_digest`] —
-/// is byte-identical to a [`run_runtime`] call with the same inputs
-/// (pinned by `tests/telemetry_equivalence.rs`).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_runtime`].
-pub fn run_runtime_with_sink(
-    cfg: &RuntimeConfig,
-    requests: &[Request],
-    service: &dyn Fn(usize) -> u64,
-    warmup_cycles: u64,
-    sink: &mut dyn EventSink,
-) -> RuntimeOutcome {
     let model = ServiceModel {
         service: &|_, n| service(n),
         respawn_warmup: &|_| warmup_cycles,
     };
-    run_runtime_resilient(cfg, requests, &model, warmup_cycles, sink)
+    run_runtime_resilient(cfg, requests, &model, warmup_cycles, &mut NullSink)
 }
 
-/// The fault-tolerant generalization: a level-aware [`ServiceModel`]
-/// replaces the flat service table, and
-/// [`RuntimeConfig::resilience`] arms fault injection and recovery.
-/// With [`ResilienceConfig::none`] and a level-ignoring model this is
-/// byte-identical to [`run_runtime`] — same events, same digest, same
-/// outcome.
+/// Runs the online runtime with a level-aware [`ServiceModel`] and a
+/// streaming [`EventSink`]; [`RuntimeConfig::resilience`] arms fault
+/// injection and recovery. [`run_runtime`] is this call with a flat
+/// service table, a constant respawn warmup and the [`NullSink`].
+///
+/// The sink is purely an observer: for any sink, the returned
+/// [`RuntimeOutcome`] — including [`RuntimeOutcome::event_digest`] —
+/// is byte-identical (pinned by `tests/telemetry_equivalence.rs`).
 ///
 /// # Panics
 ///
@@ -2017,16 +2000,33 @@ pub fn run_runtime_resilient(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::batcher::form_batches;
-    use crate::sim::dispatch_batches;
 
-    fn flat_service(n: usize) -> u64 {
+    pub(crate) fn flat_service(n: usize) -> u64 {
         100 + 10 * n as u64
     }
 
-    fn anchor_cfg(workers: usize, max_batch: usize, max_wait: u64) -> RuntimeConfig {
+    /// The anchored runtime's [`SimOutcome`] over best-effort `arrivals`.
+    pub(crate) fn anchored_sim(
+        arrivals: &[u64],
+        workers: usize,
+        max_batch: usize,
+        max_wait: u64,
+        service: &dyn Fn(usize) -> u64,
+    ) -> SimOutcome {
+        let requests: Vec<Request> = arrivals.iter().map(|&a| Request::best_effort(a)).collect();
+        run_runtime(
+            &anchor_cfg(workers, max_batch, max_wait),
+            &requests,
+            service,
+            0,
+        )
+        .sim
+    }
+
+    /// The runtime with its overload features off.
+    pub(crate) fn anchor_cfg(workers: usize, max_batch: usize, max_wait: u64) -> RuntimeConfig {
         RuntimeConfig {
             workers,
             batcher: BatcherConfig {
@@ -2044,11 +2044,6 @@ mod tests {
     #[test]
     fn runtime_config_validation_is_typed() {
         let ok = RuntimeConfig {
-            workers: 2,
-            batcher: BatcherConfig {
-                max_batch: 4,
-                max_wait_cycles: 100,
-            },
             queue_capacity: Some(8),
             deadline_aware: true,
             autoscaler: Some(AutoscalerConfig {
@@ -2058,64 +2053,52 @@ mod tests {
                 scale_down_idle_cycles: 1_000,
                 eval_period_cycles: 500,
             }),
-            record_events: false,
-            resilience: ResilienceConfig::none(),
+            ..anchor_cfg(2, 4, 100)
         };
         assert_eq!(ok.validate(), Ok(()));
+        let with = |edit: &dyn Fn(&mut RuntimeConfig)| {
+            let mut bad = ok.clone();
+            edit(&mut bad);
+            bad.validate()
+        };
+        assert_eq!(with(&|c| c.workers = 0), Err(ConfigError::ZeroWorkers));
         assert_eq!(
-            RuntimeConfig {
-                workers: 0,
-                ..ok.clone()
-            }
-            .validate(),
-            Err(ConfigError::ZeroWorkers)
-        );
-        assert_eq!(
-            RuntimeConfig {
-                queue_capacity: Some(0),
-                ..ok.clone()
-            }
-            .validate(),
+            with(&|c| c.queue_capacity = Some(0)),
             Err(ConfigError::ZeroQueueCapacity)
         );
-        let mut bad = ok.clone();
-        bad.batcher.max_wait_cycles = u64::MAX;
         assert!(matches!(
-            bad.validate(),
+            with(&|c| c.batcher.max_wait_cycles = u64::MAX),
             Err(ConfigError::UnrepresentableWait { .. })
         ));
-        let mut bad = ok.clone();
-        bad.autoscaler.as_mut().unwrap().max_workers = 1;
-        assert!(matches!(
-            bad.validate(),
-            Err(ConfigError::InvalidAutoscaler(_))
-        ));
-        let mut bad = ok.clone();
-        bad.autoscaler.as_mut().unwrap().eval_period_cycles = 0;
-        assert!(matches!(
-            bad.validate(),
-            Err(ConfigError::InvalidAutoscaler(_))
-        ));
-        let mut bad = ok;
-        bad.workers = 8; // above max_workers
-        assert!(matches!(
-            bad.validate(),
-            Err(ConfigError::InvalidAutoscaler(_))
-        ));
+        for edit in [
+            &|c: &mut RuntimeConfig| c.autoscaler.as_mut().unwrap().max_workers = 1,
+            &|c: &mut RuntimeConfig| c.autoscaler.as_mut().unwrap().eval_period_cycles = 0,
+            &|c: &mut RuntimeConfig| c.workers = 8, // above max_workers
+        ] as [&dyn Fn(&mut RuntimeConfig); 3]
+        {
+            assert!(matches!(with(edit), Err(ConfigError::InvalidAutoscaler(_))));
+        }
     }
 
     #[test]
     fn anchor_matches_offline_pipeline_on_a_zero_wait_burst() {
         // Zero wait + same-cycle arrivals is the trickiest equivalence
         // corner: the close event fires on the opening cycle but must
-        // still let the rest of the burst join first.
-        let arrivals = [3u64, 3, 3, 4, 9];
-        let requests: Vec<Request> = arrivals.iter().map(|&a| Request::best_effort(a)).collect();
-        let cfg = anchor_cfg(2, 8, 0);
-        let out = run_runtime(&cfg, &requests, &flat_service, 0);
-        let batches = form_batches(&arrivals, &cfg.batcher);
-        let offline = dispatch_batches(&arrivals, &batches, 2, &flat_service);
-        assert_eq!(out.sim, offline);
+        // still let the rest of the burst join first. The expected
+        // batches are the offline replay's (the oracle the integration
+        // suite checks the runtime against).
+        let requests: Vec<Request> = [3, 3, 3, 4, 9].map(Request::best_effort).to_vec();
+        let out = run_runtime(&anchor_cfg(2, 8, 0), &requests, &flat_service, 0);
+        let batches: Vec<_> = out
+            .sim
+            .batches
+            .iter()
+            .map(|b| (b.len, b.close_cycle, b.worker, b.start_cycle, b.end_cycle))
+            .collect();
+        assert_eq!(
+            batches,
+            [(3, 3, 0, 3, 133), (1, 4, 1, 4, 114), (1, 9, 1, 114, 224)]
+        );
         assert_eq!(out.served, vec![0, 1, 2, 3, 4]);
         assert!(out.rejections.is_empty());
         assert_eq!(

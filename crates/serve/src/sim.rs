@@ -1,11 +1,9 @@
-//! Virtual-time dispatch of micro-batches onto a pool of workers.
+//! Per-request and per-batch accounting of one serve.
 //!
-//! The simulator is event-free and exact: batches are dispatched in
-//! close order, each to the worker that frees up earliest (ties broken
-//! by lowest worker id — the deterministic analogue of "grab the idle
-//! replica"), and a batch of `n` requests occupies its worker for
-//! `service(n)` cycles, the engine's own cycle model. Everything is
-//! integer virtual time; reruns are byte-identical.
+//! The runtime dispatches each closed batch to a worker, and a batch of
+//! `n` requests occupies that worker for `service(n)` cycles, the
+//! engine's own cycle model. Everything is integer virtual time;
+//! reruns are byte-identical.
 //!
 //! Per-request latency decomposes exactly the way a serving dashboard
 //! would report it: *queue wait* (arrival → the batch's dispatch, which
@@ -14,9 +12,9 @@
 //! (the whole batch's [`capsacc_core::BatchRun`]-equivalent cycles; the
 //! layer-major schedule finishes all images of a batch together).
 
-use crate::batcher::MicroBatch;
+use capsacc_telemetry::percentile;
 
-/// Per-request accounting of one simulated serve.
+/// Per-request accounting of one serve.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RequestStat {
     /// Arrival cycle (from the trace).
@@ -50,7 +48,7 @@ impl RequestStat {
     }
 }
 
-/// Per-batch accounting of one simulated serve.
+/// Per-batch accounting of one serve.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct BatchStat {
     /// Worker the batch ran on.
@@ -65,7 +63,7 @@ pub struct BatchStat {
     pub end_cycle: u64,
 }
 
-/// Everything one simulated serve produced.
+/// Everything one serve produced for the requests it served.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SimOutcome {
     /// Per-request stats, in request (arrival) order.
@@ -177,96 +175,17 @@ impl SimOutcome {
     }
 }
 
-/// Nearest-rank percentile of an ascending slice. Total over the
-/// input: an empty slice reports `0` (the convention every
-/// [`SimOutcome`] aggregate uses for degenerate serves — an all-shed
-/// window has no latencies, and its percentile row must still be
-/// defined). This *is* [`capsacc_telemetry::percentile`] — the serving
-/// aggregates and the telemetry histogram summaries share one
-/// nearest-rank convention, so a latency percentile reported here and
-/// one exported by the metrics pipeline can never disagree.
-///
-/// # Panics
-///
-/// Panics if `pct` is outside `(0, 100]`.
-pub fn percentile(sorted: &[u64], pct: f64) -> u64 {
-    capsacc_telemetry::percentile(sorted, pct)
-}
-
-/// Dispatches closed micro-batches onto `workers` workers.
-///
-/// `service(n)` gives the cycles a batch of `n` images occupies a
-/// worker — batch cycle counts are data-independent (the array ticks by
-/// shape, not value), so one number per batch size is exact.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero or a batch references requests outside
-/// `arrivals`.
-pub fn dispatch_batches(
-    arrivals: &[u64],
-    batches: &[MicroBatch],
-    workers: usize,
-    service: &dyn Fn(usize) -> u64,
-) -> SimOutcome {
-    assert!(workers > 0, "at least one worker required");
-    let mut free_at = vec![0u64; workers];
-    let mut busy = vec![0u64; workers];
-    let mut batch_stats = Vec::with_capacity(batches.len());
-    let mut requests = Vec::with_capacity(arrivals.len());
-    for (batch_idx, b) in batches.iter().enumerate() {
-        assert!(b.first + b.len <= arrivals.len(), "batch outside trace");
-        // Earliest-free worker, lowest id on ties: deterministic.
-        let worker = (0..workers)
-            .min_by_key(|&w| (free_at[w], w))
-            .expect("at least one worker");
-        let start = b.close_cycle.max(free_at[worker]);
-        let cycles = service(b.len);
-        let end = start + cycles;
-        free_at[worker] = end;
-        busy[worker] += cycles;
-        batch_stats.push(BatchStat {
-            worker,
-            len: b.len,
-            close_cycle: b.close_cycle,
-            start_cycle: start,
-            end_cycle: end,
-        });
-        for (slot, req) in b.requests().enumerate() {
-            requests.push(RequestStat {
-                arrival: arrivals[req],
-                dispatch: start,
-                completion: end,
-                worker,
-                batch: batch_idx,
-                slot,
-            });
-        }
-    }
-    let makespan_cycles = batch_stats.iter().map(|b| b.end_cycle).max().unwrap_or(0);
-    SimOutcome {
-        requests,
-        batches: batch_stats,
-        worker_busy_cycles: busy,
-        makespan_cycles,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::{form_batches, BatcherConfig};
+    use crate::runtime::tests::{anchored_sim, flat_service};
     use proptest::prelude::*;
-
-    fn flat_service(n: usize) -> u64 {
-        100 + 10 * n as u64
-    }
 
     #[test]
     fn empty_outcome_aggregates_are_total() {
         // An idle serving window is a legal outcome: every aggregate
         // view reports zeros instead of panicking.
-        let out = dispatch_batches(&[], &[], 2, &flat_service);
+        let out = anchored_sim(&[], 2, 4, 10, &flat_service);
         assert_eq!(out.latency_percentiles(), [0, 0, 0]);
         assert_eq!(out.throughput_per_cycle(), 0.0);
         assert_eq!(out.mean_batch_len(), 0.0);
@@ -280,7 +199,7 @@ mod tests {
         // nothing still has defined statistics everywhere.
         assert_eq!(percentile(&[], 50.0), 0);
         assert_eq!(percentile(&[], 99.0), 0);
-        let out = dispatch_batches(&[], &[], 1, &flat_service);
+        let out = anchored_sim(&[], 1, 4, 10, &flat_service);
         assert_eq!(out.utilization(7), 0.0, "beyond-pool worker index");
         assert_eq!(out.goodput_within(100), 0.0);
         assert_eq!(out.attainment_within(100), 1.0);
@@ -290,15 +209,7 @@ mod tests {
     #[test]
     fn one_request_outcome_is_fully_defined() {
         // Smallest non-degenerate serve: one request, one batch.
-        let arrivals = [3u64];
-        let batches = form_batches(
-            &arrivals,
-            &BatcherConfig {
-                max_batch: 4,
-                max_wait_cycles: 0,
-            },
-        );
-        let out = dispatch_batches(&arrivals, &batches, 2, &flat_service);
+        let out = anchored_sim(&[3], 2, 4, 0, &flat_service);
         assert_eq!(out.requests.len(), 1);
         let lat = out.requests[0].latency_cycles();
         assert_eq!(out.latency_percentiles(), [lat; 3]);
@@ -321,15 +232,7 @@ mod tests {
 
     #[test]
     fn lone_batch_runs_immediately_on_worker_zero() {
-        let arrivals = [5u64, 6];
-        let batches = form_batches(
-            &arrivals,
-            &BatcherConfig {
-                max_batch: 2,
-                max_wait_cycles: 10,
-            },
-        );
-        let out = dispatch_batches(&arrivals, &batches, 3, &flat_service);
+        let out = anchored_sim(&[5, 6], 3, 2, 10, &flat_service);
         assert_eq!(out.batches.len(), 1);
         let b = out.batches[0];
         assert_eq!((b.worker, b.start_cycle, b.end_cycle), (0, 6, 6 + 120));
@@ -343,15 +246,7 @@ mod tests {
     #[test]
     fn saturated_pool_spreads_batches_round_robin_like() {
         // 4 same-cycle batches, 2 workers: 2 batches per worker chain.
-        let arrivals = [0u64, 0, 0, 0];
-        let batches = form_batches(
-            &arrivals,
-            &BatcherConfig {
-                max_batch: 1,
-                max_wait_cycles: 0,
-            },
-        );
-        let out = dispatch_batches(&arrivals, &batches, 2, &flat_service);
+        let out = anchored_sim(&[0, 0, 0, 0], 2, 1, 0, &flat_service);
         let workers: Vec<usize> = out.batches.iter().map(|b| b.worker).collect();
         assert_eq!(workers, vec![0, 1, 0, 1]);
         assert_eq!(out.makespan_cycles, 220);
@@ -375,12 +270,9 @@ mod tests {
         ) {
             let mut t = 0u64;
             let arrivals: Vec<u64> = gaps.iter().map(|&g| { t += g; t }).collect();
-            let batches = form_batches(
-                &arrivals,
-                &BatcherConfig { max_batch, max_wait_cycles: max_wait },
-            );
             let service = move |n: usize| base + 17 * n as u64;
-            let out = dispatch_batches(&arrivals, &batches, workers, &service);
+            let serve = |workers| anchored_sim(&arrivals, workers, max_batch, max_wait, &service);
+            let out = serve(workers);
             prop_assert_eq!(out.requests.len(), arrivals.len());
             for r in &out.requests {
                 prop_assert!(r.dispatch >= r.arrival);
@@ -400,13 +292,9 @@ mod tests {
                 }
             }
             // Determinism: bit-identical on rerun.
-            prop_assert_eq!(
-                &out,
-                &dispatch_batches(&arrivals, &batches, workers, &service)
-            );
+            prop_assert_eq!(&out, &serve(workers));
             // Weak scaling: an extra worker never hurts the makespan.
-            let more = dispatch_batches(&arrivals, &batches, workers + 1, &service);
-            prop_assert!(more.makespan_cycles <= out.makespan_cycles);
+            prop_assert!(serve(workers + 1).makespan_cycles <= out.makespan_cycles);
         }
     }
 }

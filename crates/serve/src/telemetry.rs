@@ -3,7 +3,7 @@
 //! metrics on a [`capsacc_telemetry::Recorder`].
 //!
 //! [`RuntimeTelemetry`] is an [`EventSink`] handed to
-//! [`crate::run_runtime_with_sink`]. It is a pure observer — the
+//! [`crate::run_runtime_resilient`]. It is a pure observer — the
 //! runtime's outcome and event digest are byte-identical with or
 //! without it (pinned by `tests/telemetry_equivalence.rs`) — that
 //! builds, entirely from the event stream plus the request trace it
@@ -504,11 +504,23 @@ impl EventSink for RuntimeTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::BatcherConfig;
-    use crate::runtime::{run_runtime, run_runtime_with_sink, ResilienceConfig, RuntimeConfig};
+    use crate::runtime::tests::{anchor_cfg, flat_service};
+    use crate::runtime::{
+        run_runtime, run_runtime_resilient, RuntimeConfig, RuntimeOutcome, ServiceModel,
+    };
 
-    fn flat_service(n: usize) -> u64 {
-        100 + 10 * n as u64
+    /// Runs `cfg` over `requests` on the flat service table, observed by
+    /// `sink`.
+    fn observe(
+        cfg: &RuntimeConfig,
+        requests: &[Request],
+        sink: &mut dyn EventSink,
+    ) -> RuntimeOutcome {
+        let model = ServiceModel {
+            service: &|_, n| flat_service(n),
+            respawn_warmup: &|_| 0,
+        };
+        run_runtime_resilient(cfg, requests, &model, 0, sink)
     }
 
     fn trace(n: usize) -> Vec<Request> {
@@ -525,16 +537,9 @@ mod tests {
 
     fn cfg() -> RuntimeConfig {
         RuntimeConfig {
-            workers: 2,
-            batcher: BatcherConfig {
-                max_batch: 4,
-                max_wait_cycles: 150,
-            },
             queue_capacity: Some(6),
             deadline_aware: true,
-            autoscaler: None,
-            record_events: false,
-            resilience: ResilienceConfig::none(),
+            ..anchor_cfg(2, 4, 150)
         }
     }
 
@@ -544,7 +549,7 @@ mod tests {
         let cfg = cfg();
         let plain = run_runtime(&cfg, &requests, &flat_service, 0);
         let mut sink = RuntimeTelemetry::new(&requests, 500);
-        let observed = run_runtime_with_sink(&cfg, &requests, &flat_service, 0, &mut sink);
+        let observed = observe(&cfg, &requests, &mut sink);
         assert_eq!(plain, observed);
         assert_eq!(plain.event_digest, observed.event_digest);
     }
@@ -554,7 +559,7 @@ mod tests {
         let requests = trace(30);
         let cfg = cfg();
         let mut sink = RuntimeTelemetry::new(&requests, 500);
-        let out = run_runtime_with_sink(&cfg, &requests, &flat_service, 0, &mut sink);
+        let out = observe(&cfg, &requests, &mut sink);
         let rec = sink.finish();
         let mut served: Vec<u64> = rec
             .spans()
@@ -588,7 +593,7 @@ mod tests {
         let requests = trace(40);
         let cfg = cfg();
         let mut sink = RuntimeTelemetry::new(&requests, 400);
-        let out = run_runtime_with_sink(&cfg, &requests, &flat_service, 0, &mut sink);
+        let out = observe(&cfg, &requests, &mut sink);
         let rec = sink.finish();
         let depth = rec.metrics().gauge("serve.queue_depth");
         assert!(!depth.is_empty());
@@ -625,18 +630,10 @@ mod tests {
         ];
         let cfg = RuntimeConfig {
             queue_capacity: Some(1),
-            workers: 1,
-            batcher: BatcherConfig {
-                max_batch: 4,
-                max_wait_cycles: 1_000,
-            },
-            deadline_aware: false,
-            autoscaler: None,
-            record_events: false,
-            resilience: ResilienceConfig::none(),
+            ..anchor_cfg(1, 4, 1_000)
         };
         let mut sink = RuntimeTelemetry::new(&requests, 100);
-        run_runtime_with_sink(&cfg, &requests, &flat_service, 0, &mut sink);
+        observe(&cfg, &requests, &mut sink);
         let rec = sink.finish();
         assert_eq!(rec.metrics().counter("serve.rejected.shed_priority"), 1);
         let served: Vec<u64> = rec

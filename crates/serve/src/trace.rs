@@ -123,9 +123,9 @@ pub struct Request {
 }
 
 impl Request {
-    /// A best-effort request: lowest class, no deadline. This is the
-    /// shape the offline pipeline implicitly serves, and the one the
-    /// offline-equivalence anchor feeds the online runtime.
+    /// A best-effort request: lowest class, no deadline — what an
+    /// arrival-only [`arrival_trace`] becomes, and what the
+    /// offline-equivalence anchor feeds the runtime.
     pub fn best_effort(arrival: u64) -> Self {
         Self {
             arrival,

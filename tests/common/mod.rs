@@ -1,4 +1,5 @@
-//! Shared golden-trace digest harness for the integration tests.
+//! Shared golden-trace digest harness for the integration tests, plus
+//! the offline serving oracle ([`serve_oracle`]).
 //!
 //! Both `bit_exactness.rs` (the canonical pinning) and
 //! `memory_equivalence.rs` (proving the memory hierarchy cannot drift
@@ -19,6 +20,8 @@
 
 use capsacc::capsnet::{CapsNetConfig, QuantTrace};
 use capsacc::tensor::Tensor;
+
+pub mod serve_oracle;
 
 /// The canonical deterministic test image for `seed` — the one the
 /// pinned golden digests below were generated from (seed 0). Kept here

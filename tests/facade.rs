@@ -9,7 +9,10 @@ use capsacc::gpu::GpuModel;
 use capsacc::memory::{MemoryConfig, MemoryMode, MemorySubsystem, PrefetchPipeline, SpmKind};
 use capsacc::mnist::{SyntheticMnist, WeightGen};
 use capsacc::power::PowerModel;
-use capsacc::serve::{simulate_serve, BatcherConfig, ServeConfig, ShardPool, TraceConfig};
+use capsacc::serve::{
+    arrival_trace, run_runtime, service_cycles_table, BatcherConfig, Request, ResilienceConfig,
+    RuntimeConfig, ShardPool, TraceConfig,
+};
 use capsacc::tensor::{ConvGeometry, Tensor};
 
 #[test]
@@ -75,24 +78,29 @@ fn reexport_paths_resolve_and_interoperate() {
     );
 
     // serve ← core + capsnet + tensor
-    let serve_cfg = ServeConfig {
+    let rt = RuntimeConfig {
         workers: 2,
         batcher: BatcherConfig {
             max_batch: 8,
             max_wait_cycles: 50_000,
         },
-        trace: TraceConfig {
-            seed: 3,
-            requests: 32,
-            mean_gap_cycles: 5_000.0,
-            mean_burst: 2.0,
-        },
+        queue_capacity: None,
+        deadline_aware: false,
+        autoscaler: None,
+        record_events: false,
+        resilience: ResilienceConfig::none(),
     };
-    let outcome = simulate_serve(
-        &AcceleratorConfig::paper(),
-        &CapsNetConfig::mnist(),
-        &serve_cfg,
-    );
+    let requests: Vec<Request> = arrival_trace(&TraceConfig {
+        seed: 3,
+        requests: 32,
+        mean_gap_cycles: 5_000.0,
+        mean_burst: 2.0,
+    })
+    .into_iter()
+    .map(Request::best_effort)
+    .collect();
+    let table = service_cycles_table(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 8);
+    let outcome = run_runtime(&rt, &requests, &|n| table[n], 0).sim;
     assert_eq!(outcome.requests.len(), 32);
     let [p50, p95, p99] = outcome.latency_percentiles();
     assert!(p50 <= p95 && p95 <= p99);

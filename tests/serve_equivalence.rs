@@ -1,38 +1,47 @@
-//! Differential tests for the serving path: requests dispatched through
-//! the dynamic micro-batcher and the OS-thread shard pool must produce
+//! Differential tests for the serving path: requests scheduled by the
+//! runtime and served on the OS-thread shard pool must produce
 //! `QuantTrace`s **bit-identical** to fresh-accelerator sequential runs
 //! of the same images — the serving generalization of the
-//! batch-equivalence invariant — and the whole virtual-time pipeline
-//! must be byte-for-byte deterministic across reruns regardless of how
-//! the OS schedules the worker threads.
+//! batch-equivalence invariant — the whole virtual-time runtime must be
+//! byte-for-byte deterministic across reruns regardless of how the OS
+//! schedules the worker threads, and with its overload features off it
+//! must reproduce the offline oracle in `common/serve_oracle.rs`.
 
 use capsacc::capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc::core::{timing, Accelerator, AcceleratorConfig, BatchScheduler, EngineBackend};
 use capsacc::serve::{
-    arrival_trace, dispatch_batches, engine_service_cycles_table, form_batches, run_runtime,
-    serve_with_engine, service_cycles_table, simulate_runtime, simulate_serve, BatcherConfig,
-    Request, ResilienceConfig, RuntimeConfig, ServeConfig, ShardPool, TraceConfig,
+    arrival_trace, engine_service_cycles_table, run_runtime, serve_with_engine,
+    service_cycles_table, BatcherConfig, Request, RuntimeConfig, ShardPool, SimOutcome,
+    TraceConfig,
 };
 use capsacc::tensor::Tensor;
 use proptest::prelude::*;
 
 mod common;
 use common::image_for;
+use common::serve_oracle::{anchored, best_effort, offline_serve};
 
-fn tiny_serve(seed: u64, requests: usize, workers: usize, max_batch: usize) -> ServeConfig {
-    ServeConfig {
-        workers,
-        batcher: BatcherConfig {
-            max_batch,
-            max_wait_cycles: 10_000,
-        },
-        trace: TraceConfig {
-            seed,
-            requests,
-            mean_gap_cycles: 2_000.0,
-            mean_burst: 3.0,
-        },
-    }
+/// An anchored tiny-scale serve: the runtime config and its trace.
+fn tiny_serve(
+    seed: u64,
+    requests: usize,
+    workers: usize,
+    max_batch: usize,
+) -> (RuntimeConfig, Vec<Request>) {
+    let batcher = BatcherConfig {
+        max_batch,
+        max_wait_cycles: 10_000,
+    };
+    let trace = TraceConfig {
+        seed,
+        requests,
+        mean_gap_cycles: 2_000.0,
+        mean_burst: 3.0,
+    };
+    (
+        anchored(batcher, workers),
+        best_effort(&arrival_trace(&trace)),
+    )
 }
 
 #[test]
@@ -43,13 +52,15 @@ fn shard_pool_traces_are_bit_exact_vs_sequential_runs() {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
-    let serve = tiny_serve(42, 17, 4, 3);
+    let (rt, requests) = tiny_serve(42, 17, 4, 3);
     let image = |r: usize| image_for(&net, r);
     let (outcome, traces) =
-        serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
+        serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
+    assert_eq!(outcome.served, (0..17).collect::<Vec<_>>());
     assert_eq!(traces.len(), 17);
     // Real fan-out happened: several workers actually served batches.
     let active = outcome
+        .sim
         .worker_busy_cycles
         .iter()
         .filter(|&&c| c > 0)
@@ -139,11 +150,9 @@ fn engine_service_cycles_table_holds_at_mnist_scale() {
             run.batch
         );
     }
-    // The dispatcher charges those same cycles end to end.
-    let serve = tiny_serve(3, 6, 2, 2);
-    let arrivals = arrival_trace(&serve.trace);
-    let batches = form_batches(&arrivals, &serve.batcher);
-    let out = dispatch_batches(&arrivals, &batches, serve.workers, &|n| table[n]);
+    // The runtime charges those same cycles end to end.
+    let (rt, requests) = tiny_serve(3, 6, 2, 2);
+    let out = run_runtime(&rt, &requests, &|n| table[n], 0).sim;
     for r in &out.requests {
         assert_eq!(r.service_cycles(), table[out.batches[r.batch].len]);
     }
@@ -154,18 +163,18 @@ fn serving_outcome_is_deterministic_across_reruns() {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 1).quantize(cfg.numeric);
-    let serve = tiny_serve(7, 11, 3, 4);
+    let (rt, requests) = tiny_serve(7, 11, 3, 4);
     let image = |r: usize| image_for(&net, r);
-    let (out1, traces1) =
-        serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
-    let (out2, traces2) =
-        serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
+    let serve = || serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image);
+    let (out1, traces1) = serve().expect("valid serve");
+    let (out2, traces2) = serve().expect("valid serve");
     assert_eq!(out1, out2, "virtual-time outcome must be rerun-identical");
     assert_eq!(traces1, traces2, "traces must be rerun-identical");
-    // The closed-form-only simulation is deterministic too.
+    // The closed-form-only serve is deterministic too.
+    let table = service_cycles_table(&cfg, &net, 4);
     assert_eq!(
-        simulate_serve(&cfg, &net, &serve),
-        simulate_serve(&cfg, &net, &serve)
+        run_runtime(&rt, &requests, &|n| table[n], 0),
+        run_runtime(&rt, &requests, &|n| table[n], 0)
     );
 }
 
@@ -173,23 +182,21 @@ fn serving_outcome_is_deterministic_across_reruns() {
 fn worker_scaling_reaches_three_x_at_mnist_scale() {
     // The exp_serve acceptance bound, pinned as a test with the same
     // saturating trace shape: 4 workers ≥ 3× the throughput of 1.
-    let cfg = AcceleratorConfig::paper();
-    let net = CapsNetConfig::mnist();
+    let table = service_cycles_table(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 16);
+    let requests = best_effort(&arrival_trace(&TraceConfig {
+        seed: 7,
+        requests: 256,
+        mean_gap_cycles: 2_000.0,
+        mean_burst: 4.0,
+    }));
+    let batcher = BatcherConfig {
+        max_batch: 16,
+        max_wait_cycles: 10_000,
+    };
     let at = |workers: usize| {
-        let serve = ServeConfig {
-            workers,
-            batcher: BatcherConfig {
-                max_batch: 16,
-                max_wait_cycles: 10_000,
-            },
-            trace: TraceConfig {
-                seed: 7,
-                requests: 256,
-                mean_gap_cycles: 2_000.0,
-                mean_burst: 4.0,
-            },
-        };
-        simulate_serve(&cfg, &net, &serve).throughput_per_cycle()
+        run_runtime(&anchored(batcher, workers), &requests, &|n| table[n], 0)
+            .sim
+            .throughput_per_cycle()
     };
     let (t1, t4) = (at(1), at(4));
     assert!(
@@ -203,7 +210,7 @@ proptest! {
 
     /// Random serving configurations: the pool-backed serve always
     /// produces per-request traces bit-identical to sequential runs,
-    /// and its virtual-time outcome equals the closed-form simulation.
+    /// and serves every request.
     #[test]
     fn random_serves_stay_bit_exact(
         seed in 0u64..500,
@@ -214,11 +221,11 @@ proptest! {
         let net = CapsNetConfig::tiny();
         let cfg = AcceleratorConfig::test_4x4();
         let qparams = CapsNetParams::generate(&net, seed).quantize(cfg.numeric);
-        let serve = tiny_serve(seed, requests, workers, max_batch);
+        let (rt, trace) = tiny_serve(seed, requests, workers, max_batch);
         let image = |r: usize| image_for(&net, r + seed as usize);
         let (outcome, traces) =
-            serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
-        prop_assert_eq!(outcome.requests.len(), requests);
+            serve_with_engine(&cfg, &net, &qparams, &rt, &trace, &image).expect("valid serve");
+        prop_assert_eq!(outcome.sim.requests.len(), requests);
         for (r, trace) in traces.iter().enumerate() {
             let mut acc = Accelerator::new(cfg);
             let single = acc.run_inference(&net, &qparams, &image_for(&net, r + seed as usize));
@@ -227,65 +234,87 @@ proptest! {
     }
 }
 
-/// The online runtime restricted to the offline pipeline's semantics:
-/// unbounded queue, no deadlines, one priority class, autoscaling off.
-fn anchored_runtime(batcher: BatcherConfig, workers: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        workers,
-        batcher,
-        queue_capacity: None,
-        deadline_aware: false,
-        autoscaler: None,
-        record_events: false,
-        resilience: ResilienceConfig::none(),
-    }
+/// Serves `arrivals` on the anchored runtime and checks it against the
+/// offline oracle bit for bit.
+fn anchor(
+    arrivals: &[u64],
+    batcher: BatcherConfig,
+    workers: usize,
+    service: &dyn Fn(usize) -> u64,
+) -> SimOutcome {
+    let online = run_runtime(
+        &anchored(batcher, workers),
+        &best_effort(arrivals),
+        service,
+        0,
+    );
+    let offline = offline_serve(arrivals, &batcher, workers, service);
+    assert_eq!(
+        online.sim, offline,
+        "anchor broken at {batcher:?}, {workers} workers"
+    );
+    assert!(online.rejections.is_empty() && online.scaling.is_empty());
+    online.sim
 }
 
 #[test]
 fn online_runtime_reproduces_offline_pipeline_exactly() {
     // The offline-equivalence anchor: with shedding, deadlines,
     // priorities and autoscaling all disabled, the event-driven online
-    // runtime must reproduce `form_batches` + `dispatch_batches`
-    // bit-exactly — same batches, same workers, same latencies, same
-    // `SimOutcome` — so every existing BENCH_serve.json number keeps
-    // its meaning under the new runtime.
-    let trace = TraceConfig {
+    // runtime must reproduce the offline oracle bit-exactly — same
+    // batches, same workers, same latencies, same `SimOutcome` — so
+    // every BENCH_serve.json number keeps its meaning.
+    let batcher = |max_batch, max_wait_cycles| BatcherConfig {
+        max_batch,
+        max_wait_cycles,
+    };
+
+    let arrivals = arrival_trace(&TraceConfig {
         seed: 13,
         requests: 400,
         mean_gap_cycles: 800.0,
         mean_burst: 4.0,
-    };
-    let batcher = BatcherConfig {
-        max_batch: 8,
-        max_wait_cycles: 3_000,
-    };
-    let arrivals = arrival_trace(&trace);
-    let requests: Vec<Request> = arrivals.iter().map(|&a| Request::best_effort(a)).collect();
-    let service = |n: usize| 5_000 + 600 * n as u64;
+    });
     for workers in [1, 3] {
-        let offline = dispatch_batches(
-            &arrivals,
-            &form_batches(&arrivals, &batcher),
-            workers,
-            &service,
-        );
-        let online = run_runtime(&anchored_runtime(batcher, workers), &requests, &service, 0);
-        assert_eq!(online.sim, offline, "anchor broken at {workers} workers");
-        assert_eq!(online.served.len(), requests.len());
-        assert!(online.rejections.is_empty());
-        assert!(online.scaling.is_empty());
+        anchor(&arrivals, batcher(8, 3_000), workers, &|n| {
+            5_000 + 600 * n as u64
+        });
     }
-    // And through the closed-form glue at the accelerator design point.
-    let cfg = AcceleratorConfig::paper();
-    let net = CapsNetConfig::mnist();
-    let serve = ServeConfig {
-        workers: 2,
-        batcher,
-        trace,
-    };
-    let offline = simulate_serve(&cfg, &net, &serve);
-    let online = simulate_runtime(&cfg, &net, &anchored_runtime(batcher, 2), &requests);
-    assert_eq!(online.sim, offline);
+
+    // Every point of exp_serve's closed-form saturating sweep.
+    let table = service_cycles_table(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 32);
+    let arrivals = arrival_trace(&TraceConfig {
+        seed: 7,
+        requests: 512,
+        mean_gap_cycles: 2_000.0,
+        mean_burst: 4.0,
+    });
+    for max_batch in [4, 16, 32] {
+        for max_wait in [10_000, 1_000_000] {
+            for workers in [1, 2, 4, 8] {
+                anchor(&arrivals, batcher(max_batch, max_wait), workers, &|n| {
+                    table[n]
+                });
+            }
+        }
+    }
+
+    // The batching corners the policy's unit tests pin (batcher.rs):
+    // the size trigger, arrivals on a deadline edge, zero wait, and the
+    // empty trace.
+    for (arrivals, max_batch, max_wait) in [
+        (&[0, 10, 11, 12, 500][..], 3, 100),
+        (&[5, 7, 9, 11], 2, 1_000),
+        (&[0, 50, 51], 10, 50),
+        (&[3, 3, 3, 4, 9], 8, 0),
+        (&[], 4, 10),
+    ] {
+        for workers in [1, 2] {
+            anchor(arrivals, batcher(max_batch, max_wait), workers, &|n| {
+                100 + 10 * n as u64
+            });
+        }
+    }
 }
 
 proptest! {
@@ -304,19 +333,8 @@ proptest! {
     ) {
         let mut t = 0u64;
         let arrivals: Vec<u64> = gaps.iter().map(|&g| { t += g; t }).collect();
-        let requests: Vec<Request> =
-            arrivals.iter().map(|&a| Request::best_effort(a)).collect();
         let batcher = BatcherConfig { max_batch, max_wait_cycles: max_wait };
-        let service = move |n: usize| base + 23 * n as u64;
-        let offline = dispatch_batches(
-            &arrivals,
-            &form_batches(&arrivals, &batcher),
-            workers,
-            &service,
-        );
-        let online = run_runtime(&anchored_runtime(batcher, workers), &requests, &service, 0);
-        prop_assert_eq!(&online.sim, &offline);
-        prop_assert!(online.rejections.is_empty());
+        anchor(&arrivals, batcher, workers, &|n| base + 23 * n as u64);
     }
 }
 
@@ -324,7 +342,7 @@ proptest! {
 fn dispatch_composes_with_engine_latency_model() {
     // End-to-end sanity on the latency decomposition: queue wait +
     // service = latency for every request, and the service term is the
-    // closed-form batch cost (which `engine_service_cycles_match...`
+    // closed-form batch cost (which `engine_service_cycles_are_data_and_reuse_independent`
     // ties to the engine).
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
@@ -338,10 +356,9 @@ fn dispatch_composes_with_engine_latency_model() {
         max_batch: 4,
         max_wait_cycles: 5_000,
     };
-    let arrivals = arrival_trace(&trace);
-    let batches = form_batches(&arrivals, &batcher);
+    let requests = best_effort(&arrival_trace(&trace));
     let table = service_cycles_table(&cfg, &net, batcher.max_batch);
-    let out = dispatch_batches(&arrivals, &batches, 2, &|n| table[n]);
+    let out = run_runtime(&anchored(batcher, 2), &requests, &|n| table[n], 0).sim;
     for r in &out.requests {
         assert_eq!(
             r.latency_cycles(),
