@@ -3,7 +3,9 @@
 //! and every dataflow optimization must help (or at least not hurt).
 
 use capsacc::capsnet::CapsNetConfig;
-use capsacc::core::{timing, Accelerator, AcceleratorConfig, ActivationKind};
+use capsacc::core::{
+    timing, Accelerator, AcceleratorConfig, ActivationKind, DataflowOptions, MemoryKind,
+};
 
 #[test]
 fn engine_matches_serial_formula_across_shapes() {
@@ -216,4 +218,130 @@ fn mnist_inference_in_milliseconds_regime() {
     // Layer ordering sanity: PrimaryCaps > ClassCaps > Conv1.
     assert!(t.primary_caps.cycles > t.class_caps_cycles());
     assert!(t.class_caps_cycles() > t.conv1.cycles);
+}
+
+/// One line per (dataflow, batch): every closed-form number the figures
+/// and the batch/memory experiments read — total, per-layer
+/// cycles/weight bytes, FC weight bytes, each Fig. 17 step's cycles and
+/// Data Memory bytes, and every traffic counter.
+fn closed_form_fingerprint(cfg: &AcceleratorConfig, net: &CapsNetConfig, batch: u64) -> String {
+    use std::fmt::Write;
+    let t = timing::full_inference_batch(cfg, net, batch);
+    let mut s = format!(
+        "b{batch} total={} conv1={}/{} pc={}/{} fcw={}",
+        t.total_cycles(),
+        t.conv1.cycles,
+        t.conv1.weight_bytes,
+        t.primary_caps.cycles,
+        t.primary_caps.weight_bytes,
+        t.fc_weight_bytes,
+    );
+    for step in &t.class_caps_steps {
+        write!(s, " {}={}/{}", step.step, step.cycles, step.data_mem_bytes).expect("write");
+    }
+    let traffic = timing::batch_traffic_estimate(cfg, net, batch);
+    for kind in MemoryKind::ALL {
+        let c = traffic.counter(kind);
+        write!(s, " {kind:?}={}/{}", c.read_bytes, c.write_bytes).expect("write");
+    }
+    s
+}
+
+#[test]
+fn closed_form_paper_numbers_are_pinned() {
+    let net = CapsNetConfig::mnist();
+    let paper = AcceleratorConfig::paper();
+    // The paper design point with every dataflow switch on, then with
+    // each switch off in turn.
+    let mut configs = vec![("all-on", paper)];
+    for (name, off) in [
+        (
+            "no-weight-reuse",
+            (|d| d.weight_reuse = false) as fn(&mut DataflowOptions),
+        ),
+        ("no-pipelined-tiles", |d| d.pipelined_tiles = false),
+        ("no-routing-feedback", |d| d.routing_feedback = false),
+        ("no-skip-first-softmax", |d| d.skip_first_softmax = false),
+    ] {
+        let mut c = paper;
+        off(&mut c.dataflow);
+        configs.push((name, c));
+    }
+    let got: Vec<String> = configs
+        .iter()
+        .flat_map(|(name, cfg)| {
+            [1, 16].map(|b| format!("{name} {}", closed_form_fingerprint(cfg, &net, b)))
+        })
+        .collect();
+    // The headline: 1,082,348 cycles = 4.329 ms at 250 MHz.
+    let b1 = timing::full_inference_batch(&paper, &net, 1);
+    assert_eq!(b1.total_cycles(), 1_082_348);
+    assert_eq!(
+        format!("{:.3}", paper.cycles_to_us(b1.total_cycles()) / 1000.0),
+        "4.329"
+    );
+    let want = [
+        "all-on b1 total=1082348 conv1=39185/20992 pc=748000/5308672 fcw=1474560 \
+             Load=23040/184320 FC=195873/184320 Softmax1=2880/0 Sum1=12570/0 Squash1=40/0 \
+             Update1=12010/0 Softmax2=5760/0 Sum2=12570/0 Squash2=40/0 Update2=12010/0 \
+             Softmax3=5760/0 Sum3=12570/0 Squash3=40/0 DataMemory=287504/295936 \
+             WeightMemory=6804224/0 DataBuffer=13107456/184320 RoutingBuffer=34880/46560 \
+             WeightBuffer=6804224/0 Dram=6805008/0",
+        "all-on b16 total=14355953 conv1=615185/20992 pc=11956240/5308672 fcw=1474560 \
+             Load=368640/2949120 FC=195888/2949120 Softmax1=46080/0 Sum1=201120/0 Squash1=640/0 \
+             Update1=192160/0 Softmax2=92160/0 Sum2=201120/0 Squash2=640/0 Update2=192160/0 \
+             Softmax3=92160/0 Sum3=201120/0 Squash3=640/0 DataMemory=4600064/4734976 \
+             WeightMemory=6804224/0 DataBuffer=209719296/2949120 RoutingBuffer=558080/744960 \
+             WeightBuffer=6804224/0 Dram=6816768/0",
+        "no-weight-reuse b1 total=25220620 conv1=1036833/8294656 pc=23888624/191103232 \
+             fcw=1474560 Load=23040/184320 FC=195873/184320 Softmax1=2880/0 Sum1=12570/0 \
+             Squash1=40/0 Update1=12010/0 Softmax2=5760/0 Sum2=12570/0 Squash2=40/0 \
+             Update2=12010/0 Softmax3=5760/0 Sum3=12570/0 Squash3=40/0 DataMemory=287504/295936 \
+             WeightMemory=200872448/0 DataBuffer=13107456/184320 RoutingBuffer=34880/46560 \
+             WeightBuffer=200872448/0 Dram=6805008/0",
+        "no-weight-reuse b16 total=403529905 conv1=16589313/132714496 pc=382217984/3057651712 \
+             fcw=23592960 Load=368640/2949120 FC=3133968/2949120 Softmax1=46080/0 Sum1=201120/0 \
+             Squash1=640/0 Update1=192160/0 Softmax2=92160/0 Sum2=201120/0 Squash2=640/0 \
+             Update2=192160/0 Softmax3=92160/0 Sum3=201120/0 Squash3=640/0 \
+             DataMemory=4600064/4734976 WeightMemory=3213959168/0 DataBuffer=209719296/2949120 \
+             RoutingBuffer=558080/744960 WeightBuffer=3213959168/0 Dram=6816768/0",
+        "no-pipelined-tiles b1 total=2551965 conv1=43105/20992 pc=1763280/5308672 fcw=1474560 \
+             Load=23040/184320 FC=576000/184320 Softmax1=2880/0 Sum1=36000/0 Squash1=40/0 \
+             Update1=12010/0 Softmax2=5760/0 Sum2=36000/0 Squash2=40/0 Update2=12010/0 \
+             Softmax3=5760/0 Sum3=36000/0 Squash3=40/0 DataMemory=287504/295936 \
+             WeightMemory=6804224/0 DataBuffer=13107456/184320 RoutingBuffer=34880/46560 \
+             WeightBuffer=6804224/0 Dram=6805008/0",
+        "no-pipelined-tiles b16 total=17052705 conv1=619105/20992 pc=12971520/5308672 \
+             fcw=1474560 Load=368640/2949120 FC=748800/2949120 Softmax1=46080/0 Sum1=576000/0 \
+             Squash1=640/0 Update1=192160/0 Softmax2=92160/0 Sum2=576000/0 Squash2=640/0 \
+             Update2=192160/0 Softmax3=92160/0 Sum3=576000/0 Squash3=640/0 \
+             DataMemory=4600064/4734976 WeightMemory=6804224/0 DataBuffer=209719296/2949120 \
+             RoutingBuffer=558080/744960 WeightBuffer=6804224/0 Dram=6816768/0",
+        "no-routing-feedback b1 total=1135818 conv1=39185/20992 pc=748000/5308672 fcw=1474560 \
+             Load=23040/184320 FC=195873/184320 Softmax1=2880/0 Sum1=23040/184320 Squash1=40/0 \
+             Update1=23040/184320 Softmax2=5760/0 Sum2=23040/184320 Squash2=40/0 \
+             Update2=23040/184320 Softmax3=5760/0 Sum3=23040/184320 Squash3=40/0 \
+             DataMemory=1024784/295936 WeightMemory=6804224/0 DataBuffer=13107456/184320 \
+             RoutingBuffer=34880/46560 WeightBuffer=6804224/0 Dram=6805008/0",
+        "no-routing-feedback b16 total=15211473 conv1=615185/20992 pc=11956240/5308672 \
+             fcw=1474560 Load=368640/2949120 FC=195888/2949120 Softmax1=46080/0 \
+             Sum1=368640/2949120 Squash1=640/0 Update1=368640/2949120 Softmax2=92160/0 \
+             Sum2=368640/2949120 Squash2=640/0 Update2=368640/2949120 Softmax3=92160/0 \
+             Sum3=368640/2949120 Squash3=640/0 DataMemory=16396544/4734976 WeightMemory=6804224/0 \
+             DataBuffer=209719296/2949120 RoutingBuffer=558080/744960 WeightBuffer=6804224/0 \
+             Dram=6816768/0",
+        "no-skip-first-softmax b1 total=1085228 conv1=39185/20992 pc=748000/5308672 \
+             fcw=1474560 Load=23040/184320 FC=195873/184320 Softmax1=5760/0 Sum1=12570/0 \
+             Squash1=40/0 Update1=12010/0 Softmax2=5760/0 Sum2=12570/0 Squash2=40/0 \
+             Update2=12010/0 Softmax3=5760/0 Sum3=12570/0 Squash3=40/0 DataMemory=287504/295936 \
+             WeightMemory=6804224/0 DataBuffer=13107456/184320 RoutingBuffer=34880/46560 \
+             WeightBuffer=6804224/0 Dram=6805008/0",
+        "no-skip-first-softmax b16 total=14402033 conv1=615185/20992 pc=11956240/5308672 \
+             fcw=1474560 Load=368640/2949120 FC=195888/2949120 Softmax1=92160/0 Sum1=201120/0 \
+             Squash1=640/0 Update1=192160/0 Softmax2=92160/0 Sum2=201120/0 Squash2=640/0 \
+             Update2=192160/0 Softmax3=92160/0 Sum3=201120/0 Squash3=640/0 \
+             DataMemory=4600064/4734976 WeightMemory=6804224/0 DataBuffer=209719296/2949120 \
+             RoutingBuffer=558080/744960 WeightBuffer=6804224/0 Dram=6816768/0",
+    ];
+    assert_eq!(got, want);
 }
