@@ -24,13 +24,13 @@ run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 run cargo test --workspace -q
 # Benches are excluded from `cargo test`; make sure they still compile.
 run cargo bench -p capsacc-bench --no-run
-# Batched-serving smoke run: validates run_batch bit-exactness at the
-# tiny scale and refreshes BENCH_batch.json so the perf trajectory of
-# the batch path is recorded with every CI run.
+# Batched-serving smoke run: refreshes BENCH_batch.json so the perf
+# trajectory of the batch path is recorded with every CI run, then
+# asserts run_batch bit-exactness at the tiny scale.
 run cargo run --release -q -p capsacc-bench --bin exp_batch
-# Memory design-space smoke run: asserts the IdealMemory equivalence
-# (engine ≡ closed-form memory replay, zero ideal stalls) and the
-# prefetch-recovery bound, and refreshes BENCH_mem.json.
+# Memory design-space smoke run: refreshes BENCH_mem.json, then asserts
+# the IdealMemory equivalence (engine ≡ closed-form memory replay, zero
+# ideal stalls) and the prefetch-recovery bound.
 run cargo run --release -q -p capsacc-bench --bin exp_memdse
 # Serving smoke run: every sweep goes through the one serving runtime.
 # Refreshes BENCH_serve.json — saturating + overload sweeps on both
@@ -58,16 +58,15 @@ run cargo run --release -q -p capsacc-bench --bin exp_serve
 # quality under sustained overload), and byte-identical rerun
 # determinism of every fault sweep.
 run cargo run --release -q -p capsacc-bench --bin exp_faults
-# Engine wall-clock smoke run: asserts ticked, functional-scalar and
+# Engine wall-clock smoke run: refreshes BENCH_engine.json (reps/min/
+# median per row — the wall-clock perf trajectory; its host-time fields
+# vary run to run by design), then asserts ticked, functional-scalar and
 # functional-SIMD (the parallel backend) are bit-identical on a full
 # MNIST inference at the paper 16x16 design point, that explicit
 # thread counts 1/2/4 produce byte-identical batch-16 BatchRuns, that
 # the functional backend clears the 10x wall-clock bound over ticked
 # and the parallel+SIMD batch path clears 5x over the PR 5 functional
-# baseline (98.20 ms/image) — both asserted on median host times;
-# refreshes BENCH_engine.json (reps/min/median per row — the
-# wall-clock perf trajectory; its host-time fields vary run to run by
-# design).
+# baseline (98.20 ms/image) — both asserted on median host times.
 run cargo run --release -q -p capsacc-bench --bin exp_engine_speed
 # Telemetry smoke run: asserts recording is invisible (instrumented
 # BatchRun/RuntimeOutcome + event digest == recording-off runs), span

@@ -13,7 +13,7 @@ fn bench_full_inference_model(c: &mut Criterion) {
     let net = CapsNetConfig::mnist();
     let cfg = AcceleratorConfig::paper();
     c.bench_function("timing/full_inference/mnist", |b| {
-        b.iter(|| timing::full_inference(black_box(&cfg), black_box(&net)))
+        b.iter(|| timing::full_inference_batch(black_box(&cfg), black_box(&net), 1))
     });
     let gpu = GpuModel::gtx1070();
     c.bench_function("gpu_model/layer_times/mnist", |b| {
@@ -30,7 +30,9 @@ fn bench_array_size_sweep(c: &mut Criterion) {
         cfg.cols = size;
         cfg.activation_units = size;
         group.bench_with_input(BenchmarkId::from_parameter(size), &cfg, |b, cfg| {
-            b.iter(|| timing::full_inference(black_box(cfg), black_box(&net)).total_cycles())
+            b.iter(|| {
+                timing::full_inference_batch(black_box(cfg), black_box(&net), 1).total_cycles()
+            })
         });
     }
     group.finish();

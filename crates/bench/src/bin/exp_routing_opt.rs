@@ -10,7 +10,7 @@ use capsacc_core::{timing, Accelerator, AcceleratorConfig, MemoryKind};
 use capsacc_tensor::Tensor;
 
 fn classcaps_cycles(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> u64 {
-    timing::routing_steps(net, cfg)
+    timing::routing_steps(net, 1, cfg)
         .iter()
         .map(|s| s.cycles)
         .sum()
@@ -23,7 +23,7 @@ fn main() {
     // --- Ablation table: one dataflow switch off at a time.
     let mut rows = Vec::new();
     let mut push = |name: &str, cfg: AcceleratorConfig| {
-        let total = timing::full_inference(&cfg, &net).total_cycles();
+        let total = timing::full_inference_batch(&cfg, &net, 1).total_cycles();
         let cc = classcaps_cycles(&cfg, &net);
         rows.push(vec![
             name.to_owned(),

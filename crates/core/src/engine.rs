@@ -348,7 +348,7 @@ impl Accelerator {
     /// design point — the second weight register exists, so tiles *are*
     /// resident. The `DataflowOptions::weight_reuse` ablation is
     /// modelled analytically only
-    /// ([`crate::timing::batch_matmul_cycles`]).
+    /// ([`crate::timing::matmul_cycles`]).
     ///
     /// # Panics
     ///
@@ -1082,7 +1082,7 @@ impl Accelerator {
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
-    use crate::timing::{batch_matmul_cycles, matmul_cycles, MatmulShape};
+    use crate::timing::{matmul_cycles, MatmulShape};
     use capsacc_capsnet::{infer_q8_traced, CapsNetParams};
     use capsacc_tensor::qops;
     use proptest::prelude::*;
@@ -1167,6 +1167,7 @@ mod tests {
                     k: k as u64,
                     n: n as u64,
                 },
+                1,
                 &cfg,
             );
             assert_eq!(got, expect, "cycles for ({m},{k},{n})");
@@ -1301,7 +1302,7 @@ mod tests {
                 ActivationKind::Identity,
             );
             let got = acc.array_cycles() - before;
-            let expect = batch_matmul_cycles(
+            let expect = matmul_cycles(
                 MatmulShape { m: m as u64, k: k as u64, n: n as u64 },
                 batch as u64,
                 &cfg,

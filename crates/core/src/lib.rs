@@ -8,15 +8,18 @@
 //! control sequencing that maps every CapsuleNet layer and every
 //! routing-by-agreement dataflow scenario (Fig. 12) onto the array.
 //!
-//! Two models, cross-validated against each other:
+//! The engine plus one closed-form model, cross-validated against each
+//! other:
 //!
 //! - [`engine::Accelerator`] — the cycle-accurate engine: every PE
 //!   register is ticked every cycle; outputs are **bit-exact** against
 //!   the quantized reference model in `capsacc-capsnet` (the analogue of
 //!   the paper's gate-level functional validation, Fig. 15).
 //! - [`timing`] — the closed-form analytical cycle model used by the
-//!   benchmark harness at MNIST scale; unit tests assert it agrees with
-//!   the cycle-accurate engine exactly on small workloads.
+//!   benchmark harness at MNIST scale. Every formula takes a batch size
+//!   (a batch of one is a single inference); tests assert it agrees
+//!   with the cycle-accurate engine exactly on small serial-tile
+//!   workloads.
 //!
 //! Behind both sits the **memory hierarchy** of `capsacc-memory`:
 //! banked Data/Weight/Accumulator scratchpads, an off-chip DRAM channel
@@ -27,9 +30,8 @@
 //! [`MemoryConfig::ideal`] ("IdealMemory") keeps every pre-hierarchy
 //! cycle count and trace bit-exact.
 //!
-//! Both models come in a single-inference and a **batched** form: the
-//! [`batch`] subsystem ([`BatchScheduler`] /
-//! [`engine::Accelerator::run_batch`] /
+//! Batches are first-class on both sides: the [`batch`] subsystem
+//! ([`BatchScheduler`] / [`engine::Accelerator::run_batch`] /
 //! [`timing::full_inference_batch`]) reorders a batch of inferences
 //! layer-major so weights loaded into the second weight register stay
 //! resident across all images — the paper's "reuse weights" scenario
@@ -44,9 +46,9 @@
 //!
 //! let acc = AcceleratorConfig::paper();
 //! let net = CapsNetConfig::mnist();
-//! let report = timing::full_inference(&acc, &net);
+//! let report = timing::full_inference_batch(&acc, &net, 1);
 //! // The whole inference completes in a few milliseconds at 250 MHz.
-//! let ms = report.total_time_us(&acc) / 1000.0;
+//! let ms = report.time_per_image_us(&acc) / 1000.0;
 //! assert!(ms > 0.1 && ms < 100.0);
 //! ```
 
@@ -61,7 +63,6 @@ mod accumulator;
 mod activation;
 pub mod batch;
 mod config;
-pub mod control;
 pub mod engine;
 mod kernel;
 pub mod mapping;
@@ -84,12 +85,10 @@ pub use config::{
     AcceleratorConfig, DataflowOptions, EngineBackend, FunctionalOptions, KernelSelect, SimdMode,
     TraceLevel,
 };
-pub use control::{ControlOp, ControlUnit, DataSource, Program, WeightSource};
 pub use engine::{Accelerator, InferenceRun, LayerRun};
 pub use pe::{Pe, PeControl, PeInput, PeOutput, WeightSelect};
 pub use systolic::SystolicArray;
 pub use timing::{
-    BatchInferenceTiming, InferenceTiming, LayerTiming, MemInferenceTiming, RoutingStep,
-    RoutingStepTiming,
+    BatchInferenceTiming, LayerTiming, MemInferenceTiming, RoutingStep, RoutingStepTiming,
 };
 pub use traffic::{MemoryKind, TrafficCounter, TrafficReport};

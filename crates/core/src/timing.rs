@@ -7,6 +7,10 @@
 //! weight reloads behind data streaming, which the serial engine does
 //! not simulate — the formulas document the difference.
 //!
+//! Every cycle and traffic formula takes a batch size and models the
+//! engine's layer-major schedule, where weight tiles stay resident
+//! across the batch; a batch of one is a single inference.
+//!
 //! Cycle anatomy of one weight-stationary tile on an `R × C` array
 //! (see [`SystolicArray`](crate::SystolicArray)):
 //!
@@ -74,36 +78,47 @@ fn debug_assert_tile_fits(cfg: &AcceleratorConfig) {
     );
 }
 
-/// Cycles to execute one `M × K × N` matmul with the configured dataflow.
+/// Cycles to execute one `M × K × N` matmul for `batch` data operands
+/// sharing one weight operand, with the configured dataflow.
+///
+/// With weight reuse, the tiles stay resident across the batch (the
+/// engine's [`crate::Accelerator::matmul_batch`] schedule): all
+/// `batch · M` data rows stream against each resident tile, so every
+/// tile load (and, when pipelining, every fill/drain) is paid once per
+/// batch. `batch == 1` is a single matmul.
 ///
 /// With `pipelined_tiles`, consecutive K-tiles of one N-tile stream
 /// back-to-back and each reload (R + 1 edges) hides behind the previous
-/// tile's `M` data rows; the pipeline fills and drains once per N-tile.
+/// tile's data rows; the pipeline fills and drains once per N-tile.
 /// Without it, every tile pays its own load and drain — exactly the
 /// sequence the cycle-accurate engine executes.
 ///
 /// With `weight_reuse` disabled (ablation), the resident weight register
-/// is not used and the tile weights are re-loaded before *every* data
-/// row.
+/// is not used: the tile weights are re-loaded before *every* data row
+/// and the batch degenerates to `batch` independent runs. That scenario
+/// is analytical-only — the engine always simulates the real design
+/// point with the second weight register present, so engine↔model
+/// agreement holds for reuse-enabled configurations.
 ///
 /// Buffer capacity is threaded through the schedule: pipelining needs a
 /// double-buffered tile in the Weight Buffer, so when `2·R·C` bytes do
 /// not fit the formula falls back to the serial schedule (and a debug
 /// assertion rejects configurations whose single tile cannot fit at
 /// all).
-pub fn matmul_cycles(shape: MatmulShape, cfg: &AcceleratorConfig) -> u64 {
+pub fn matmul_cycles(shape: MatmulShape, batch: u64, cfg: &AcceleratorConfig) -> u64 {
     debug_assert_tile_fits(cfg);
     let (r, c) = (u64_from(cfg.rows), u64_from(cfg.cols));
     let kk = ceil_div(shape.k, r).max(1);
     let nn = ceil_div(shape.n, c).max(1);
-    let m = shape.m;
     let load = r + 1;
     if !cfg.dataflow.weight_reuse {
         // Reload the tile before every data row: the weight2 path is
         // disabled, so each row pays a full load.
+        let m = shape.m;
         let per_tile = checked_product("matmul reload schedule", &[m, load]) + (m + r + c);
-        return checked_product("matmul cycle count", &[nn, kk, per_tile]);
+        return checked_product("matmul cycle count", &[batch, nn, kk, per_tile]);
     }
+    let m = checked_product("batched data rows", &[shape.m, batch]);
     if tiles_pipeline(cfg) {
         // Initial load, then back-to-back K-tiles; each subsequent tile
         // is gated by max(data streaming, weight reload); one drain.
@@ -114,53 +129,15 @@ pub fn matmul_cycles(shape: MatmulShape, cfg: &AcceleratorConfig) -> u64 {
     }
 }
 
-/// Weight bytes a matmul reads from the weight store (each weight once
-/// per N-tile visit with reuse; once per data row without).
-pub fn matmul_weight_bytes(shape: MatmulShape, cfg: &AcceleratorConfig) -> u64 {
+/// Weight bytes a matmul over `batch` data operands reads from the
+/// weight store: each weight once per N-tile visit per *batch* with
+/// reuse; once per data row of every image without.
+pub fn matmul_weight_bytes(shape: MatmulShape, batch: u64, cfg: &AcceleratorConfig) -> u64 {
     let per_visit = checked_product("matmul weight footprint", &[shape.k, shape.n]);
     if cfg.dataflow.weight_reuse {
         per_visit
     } else {
-        checked_product("matmul weight reloads", &[per_visit, shape.m.max(1)])
-    }
-}
-
-/// Cycles to execute the same matmul for `batch` data operands sharing
-/// one weight operand, with the tiles held resident across the batch
-/// (the engine's [`crate::Accelerator::matmul_batch`] schedule).
-///
-/// With weight reuse, all `batch · M` data rows stream against each
-/// resident tile, so the batched run is exactly a single matmul with
-/// `M' = batch · M` — every tile load (and, when pipelining, every
-/// fill/drain) is paid once per batch instead of once per image. With
-/// the reuse ablation there is no residency to exploit and the batch
-/// degenerates to `batch` independent runs — an analytical-only
-/// scenario: the engine always simulates the real design point with the
-/// second weight register present, so engine↔model agreement holds for
-/// reuse-enabled configurations (the ones the engine can execute).
-pub fn batch_matmul_cycles(shape: MatmulShape, batch: u64, cfg: &AcceleratorConfig) -> u64 {
-    if !cfg.dataflow.weight_reuse {
-        return checked_product("batched matmul cycles", &[batch, matmul_cycles(shape, cfg)]);
-    }
-    matmul_cycles(
-        MatmulShape {
-            m: checked_product("batched data rows", &[shape.m, batch]),
-            ..shape
-        },
-        cfg,
-    )
-}
-
-/// Weight bytes a batched matmul reads from the weight store: once per
-/// *batch* with reuse, once per data row of every image without.
-pub fn batch_matmul_weight_bytes(shape: MatmulShape, batch: u64, cfg: &AcceleratorConfig) -> u64 {
-    if cfg.dataflow.weight_reuse {
-        matmul_weight_bytes(shape, cfg)
-    } else {
-        checked_product(
-            "batched weight reloads",
-            &[batch, matmul_weight_bytes(shape, cfg)],
-        )
+        checked_product("matmul weight reloads", &[batch, per_visit, shape.m.max(1)])
     }
 }
 
@@ -208,49 +185,6 @@ impl LayerTiming {
     pub fn time_us(&self, cfg: &AcceleratorConfig) -> f64 {
         cfg.cycles_to_us(self.cycles)
     }
-}
-
-/// Timing of a convolutional layer (Conv1 / PrimaryCaps conv phase) via
-/// the Fig. 13/14 mapping: im2col rows stream against weight-stationary
-/// filter tiles.
-pub fn conv_layer(
-    name: &'static str,
-    g: &ConvGeometry,
-    relu: bool,
-    cfg: &AcceleratorConfig,
-) -> LayerTiming {
-    let shape = MatmulShape {
-        m: u64_from(g.patches()),
-        k: u64_from(g.patch_len()),
-        n: u64_from(g.out_ch),
-    };
-    let compute = matmul_cycles(shape, cfg);
-    let weight_bytes = matmul_weight_bytes(shape, cfg) + u64_from(g.out_ch); // + biases
-    let act = if relu {
-        // ReLU is pipelined behind the output stream: latency only.
-        ActivationUnit::reduce_cycles(0)
-    } else {
-        0
-    };
-    LayerTiming::new(name, compute, weight_bytes, act, g.macs(), cfg)
-}
-
-/// Timing of the PrimaryCaps layer: its convolution plus the per-capsule
-/// squash through the activation units.
-pub fn primary_caps_layer(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> LayerTiming {
-    let g = net.primary_caps_geometry();
-    let conv = conv_layer("PrimaryCaps", &g, false, cfg);
-    let caps = u64_from(net.num_primary_caps());
-    let au = u64_from(cfg.activation_units);
-    let squash = ceil_div(caps, au) * ActivationUnit::squash_cycles(u64_from(net.pc_caps_dim));
-    LayerTiming::new(
-        "PrimaryCaps",
-        conv.compute_cycles,
-        conv.weight_bytes,
-        squash,
-        conv.macs,
-        cfg,
-    )
 }
 
 /// The steps of the ClassCaps phase, named as on the x-axis of
@@ -303,8 +237,29 @@ impl RoutingStepTiming {
     }
 }
 
+/// Per-image step timing scaled to a batch: the step runs once per
+/// image on that image's own state.
+fn per_image_step(
+    step: RoutingStep,
+    cycles: u64,
+    data_mem_bytes: u64,
+    batch: u64,
+) -> RoutingStepTiming {
+    RoutingStepTiming {
+        step,
+        cycles: checked_product("batched step cycles", &[cycles, batch]),
+        data_mem_bytes: checked_product("batched step bytes", &[data_mem_bytes, batch]),
+    }
+}
+
 /// Timing of the complete ClassCaps phase (Load + FC + routing
-/// iterations), step by step.
+/// iterations) for a batch of `batch` images, step by step.
+///
+/// Only the FC step amortizes: its `W_ij` blocks stay resident while
+/// every image's capsule vectors stream against them (`M = batch`), so
+/// the 1.47 MB weight stream is paid once per batch. Everything else
+/// (Load, softmax, sums, squashes, updates) operates on per-image state
+/// and scales linearly with the batch.
 ///
 /// Dataflow scenarios per Fig. 12: the first Sum reads `û` from the Data
 /// Buffer (scenario b); Updates and later Sums reuse `û` through the
@@ -313,7 +268,11 @@ impl RoutingStepTiming {
 /// the Data Memory. With `dataflow.skip_first_softmax` the first softmax
 /// is replaced by the direct `c_ij = 1/J` initialization (Sec. V), whose
 /// cost is a single coupling broadcast into the Routing Buffer.
-pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<RoutingStepTiming> {
+pub fn routing_steps(
+    net: &CapsNetConfig,
+    batch: u64,
+    cfg: &AcceleratorConfig,
+) -> Vec<RoutingStepTiming> {
     let caps = u64_from(net.num_primary_caps());
     let classes = u64_from(net.num_classes);
     let in_dim = u64_from(net.pc_caps_dim);
@@ -327,39 +286,45 @@ pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<Routin
     let coupling_rw = checked_product("coupling read+write", &[2, coupling_bytes]);
     let mut steps = Vec::new();
 
-    // Load: stage the û working set into the Data Buffer once.
-    steps.push(RoutingStepTiming {
-        step: RoutingStep::Load,
-        cycles: ceil_div(u_hat_bytes, cfg.data_mem_bw),
-        data_mem_bytes: u_hat_bytes,
-    });
+    // Load: stage the û working set into the Data Buffer once per image.
+    steps.push(per_image_step(
+        RoutingStep::Load,
+        ceil_div(u_hat_bytes, cfg.data_mem_bw),
+        u_hat_bytes,
+        batch,
+    ));
 
     // FC: û_{j|i} = W_ij · u_i — one (in_dim × classes·out_dim) matmul
-    // per input capsule with M = 1; tiles pipeline across capsules.
+    // per input capsule; tiles pipeline across capsules. With reuse the
+    // batch streams M = batch rows against each resident tile; without
+    // it the batch is `batch` independent M = 1 runs.
+    let (m, runs) = if cfg.dataflow.weight_reuse {
+        (batch, 1)
+    } else {
+        (1, batch)
+    };
     let fc_weight_bytes = checked_product("ClassCaps FC weights", &[u_hat_bytes, in_dim]);
-    let fc_shape_tiles = checked_product(
+    let fc_tiles = checked_product(
         "ClassCaps FC tiles",
         &[caps, ceil_div(cc_bytes, u64_from(cfg.cols))],
     );
     let load = u64_from(cfg.rows) + 1;
     let fc_compute = if tiles_pipeline(cfg) {
-        load + 1
-            + checked_product(
-                "ClassCaps FC pipeline",
-                &[fc_shape_tiles - 1, 1u64.max(load)],
-            )
+        load + m
+            + checked_product("ClassCaps FC pipeline", &[fc_tiles - 1, m.max(load)])
             + u64_from(cfg.rows + cfg.cols)
     } else {
         checked_product(
             "ClassCaps FC cycles",
-            &[fc_shape_tiles, load + 1 + u64_from(cfg.rows + cfg.cols)],
+            &[fc_tiles, load + m + u64_from(cfg.rows + cfg.cols)],
         )
     };
     let fc_stream = ceil_div(fc_weight_bytes, cfg.weight_mem_bw);
     steps.push(RoutingStepTiming {
         step: RoutingStep::Fc,
-        cycles: fc_compute.max(fc_stream),
-        data_mem_bytes: u_hat_bytes, // û written back as produced
+        cycles: checked_product("ClassCaps FC runs", &[runs, fc_compute.max(fc_stream)]),
+        // û written back as produced, for every image.
+        data_mem_bytes: checked_product("batched û stream", &[batch, u_hat_bytes]),
     });
 
     // Per-iteration steps.
@@ -374,11 +339,12 @@ pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<Routin
             let traffic = ceil_div(coupling_rw, cfg.routing_buf_bw);
             compute.max(traffic)
         };
-        steps.push(RoutingStepTiming {
-            step: RoutingStep::Softmax(iter),
-            cycles: softmax,
-            data_mem_bytes: 0,
-        });
+        steps.push(per_image_step(
+            RoutingStep::Softmax(iter),
+            softmax,
+            0,
+            batch,
+        ));
 
         // Sum: per class, û tiles (R capsules × out_dim) weight-stationary
         // with the coupling row streamed (M = 1).
@@ -398,20 +364,22 @@ pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<Routin
             sum_cycles = sum_cycles.max(ceil_div(u_hat_bytes, cfg.data_mem_bw));
             sum_mem = u_hat_bytes;
         }
-        steps.push(RoutingStepTiming {
-            step: RoutingStep::Sum(iter),
-            cycles: sum_cycles,
-            data_mem_bytes: sum_mem,
-        });
+        steps.push(per_image_step(
+            RoutingStep::Sum(iter),
+            sum_cycles,
+            sum_mem,
+            batch,
+        ));
 
         // Squash: one class capsule per activation unit.
         let squash_compute = ceil_div(classes, au) * ActivationUnit::squash_cycles(out_dim);
         let squash_traffic = ceil_div(cc_bytes, cfg.routing_buf_bw); // write v_j
-        steps.push(RoutingStepTiming {
-            step: RoutingStep::Squash(iter),
-            cycles: squash_compute.max(squash_traffic),
-            data_mem_bytes: 0,
-        });
+        steps.push(per_image_step(
+            RoutingStep::Squash(iter),
+            squash_compute.max(squash_traffic),
+            0,
+            batch,
+        ));
 
         // Update (all but the last iteration): per class, v_j is the
         // weight tile (out_dim × 1) and all û rows stream (M = caps).
@@ -426,72 +394,15 @@ pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<Routin
                 upd_cycles = upd_cycles.max(ceil_div(u_hat_bytes, cfg.data_mem_bw));
                 upd_mem = u_hat_bytes;
             }
-            steps.push(RoutingStepTiming {
-                step: RoutingStep::Update(iter),
-                cycles: upd_cycles,
-                data_mem_bytes: upd_mem,
-            });
+            steps.push(per_image_step(
+                RoutingStep::Update(iter),
+                upd_cycles,
+                upd_mem,
+                batch,
+            ));
         }
     }
     steps
-}
-
-/// Complete inference timing: the three layers of Fig. 16, with the
-/// ClassCaps layer broken into the steps of Fig. 17.
-#[derive(Clone, PartialEq, Debug)]
-pub struct InferenceTiming {
-    /// Conv1 timing.
-    pub conv1: LayerTiming,
-    /// PrimaryCaps timing.
-    pub primary_caps: LayerTiming,
-    /// ClassCaps step-by-step timing.
-    pub class_caps_steps: Vec<RoutingStepTiming>,
-}
-
-impl InferenceTiming {
-    /// Total ClassCaps cycles.
-    pub fn class_caps_cycles(&self) -> u64 {
-        self.class_caps_steps.iter().map(|s| s.cycles).sum()
-    }
-
-    /// Total inference cycles.
-    pub fn total_cycles(&self) -> u64 {
-        self.conv1.cycles + self.primary_caps.cycles + self.class_caps_cycles()
-    }
-
-    /// Total inference time in microseconds.
-    pub fn total_time_us(&self, cfg: &AcceleratorConfig) -> f64 {
-        cfg.cycles_to_us(self.total_cycles())
-    }
-
-    /// Per-layer `(name, cycles)` rows in Fig. 16 order.
-    pub fn layer_rows(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("Conv1", self.conv1.cycles),
-            ("PrimaryCaps", self.primary_caps.cycles),
-            ("ClassCaps", self.class_caps_cycles()),
-        ]
-    }
-}
-
-/// Computes the full-inference timing for a network on an accelerator
-/// configuration.
-///
-/// # Example
-///
-/// ```
-/// use capsacc_core::{timing, AcceleratorConfig};
-/// use capsacc_capsnet::CapsNetConfig;
-/// let t = timing::full_inference(&AcceleratorConfig::paper(), &CapsNetConfig::mnist());
-/// // PrimaryCaps (5.3 MB of weights for 36 output pixels) dominates.
-/// assert!(t.primary_caps.cycles > t.conv1.cycles);
-/// ```
-pub fn full_inference(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> InferenceTiming {
-    InferenceTiming {
-        conv1: conv_layer("Conv1", &net.conv1_geometry(), true, cfg),
-        primary_caps: primary_caps_layer(net, cfg),
-        class_caps_steps: routing_steps(net, cfg),
-    }
 }
 
 /// Checks that the working sets of a network fit the configured buffer
@@ -566,9 +477,11 @@ pub fn working_set_check(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> Vec<St
     warnings
 }
 
-/// Timing of a convolutional layer executed for a whole batch with the
-/// filter tiles held resident across images (layer-major schedule).
-pub fn conv_layer_batch(
+/// Timing of a convolutional layer (Conv1 / PrimaryCaps conv phase) for
+/// a whole batch via the Fig. 13/14 mapping: im2col rows stream against
+/// weight-stationary filter tiles held resident across images
+/// (layer-major schedule).
+fn conv_layer(
     name: &'static str,
     g: &ConvGeometry,
     relu: bool,
@@ -580,13 +493,13 @@ pub fn conv_layer_batch(
         k: u64_from(g.patch_len()),
         n: u64_from(g.out_ch),
     };
-    let compute = batch_matmul_cycles(shape, batch, cfg);
+    let compute = matmul_cycles(shape, batch, cfg);
     let biases = if cfg.dataflow.weight_reuse {
         u64_from(g.out_ch)
     } else {
         checked_product("bias reloads", &[batch, u64_from(g.out_ch)])
     };
-    let weight_bytes = batch_matmul_weight_bytes(shape, batch, cfg) + biases;
+    let weight_bytes = matmul_weight_bytes(shape, batch, cfg) + biases;
     let act = if relu {
         // ReLU is pipelined behind the output stream: latency only.
         ActivationUnit::reduce_cycles(0)
@@ -597,16 +510,12 @@ pub fn conv_layer_batch(
     LayerTiming::new(name, compute, weight_bytes, act, macs, cfg)
 }
 
-/// Batched PrimaryCaps timing: the weight-resident convolution plus the
-/// per-capsule squash, which is per-image work and scales with the
-/// batch.
-pub fn primary_caps_layer_batch(
-    net: &CapsNetConfig,
-    batch: u64,
-    cfg: &AcceleratorConfig,
-) -> LayerTiming {
+/// PrimaryCaps timing for a whole batch: the weight-resident
+/// convolution plus the per-capsule squash through the activation
+/// units, which is per-image work and scales with the batch.
+fn primary_caps_layer(net: &CapsNetConfig, batch: u64, cfg: &AcceleratorConfig) -> LayerTiming {
     let g = net.primary_caps_geometry();
-    let conv = conv_layer_batch("PrimaryCaps", &g, false, batch, cfg);
+    let conv = conv_layer("PrimaryCaps", &g, false, batch, cfg);
     let caps = u64_from(net.num_primary_caps());
     let au = u64_from(cfg.activation_units);
     let squash = checked_product(
@@ -625,61 +534,6 @@ pub fn primary_caps_layer_batch(
         conv.macs,
         cfg,
     )
-}
-
-/// The ClassCaps steps for a whole batch.
-///
-/// Only the FC step amortizes: its `W_ij` blocks stay resident while
-/// every image's capsule vectors stream against them, so the 1.47 MB
-/// weight stream is paid once per batch. Everything else (Load, softmax,
-/// sums, squashes, updates) operates on per-image state and scales
-/// linearly with the batch.
-pub fn batch_routing_steps(
-    net: &CapsNetConfig,
-    batch: u64,
-    cfg: &AcceleratorConfig,
-) -> Vec<RoutingStepTiming> {
-    let mut steps = routing_steps(net, cfg);
-    for s in steps.iter_mut() {
-        if s.step == RoutingStep::Fc && cfg.dataflow.weight_reuse {
-            let caps = u64_from(net.num_primary_caps());
-            let classes = u64_from(net.num_classes);
-            let out_dim = u64_from(net.class_caps_dim);
-            let in_dim = u64_from(net.pc_caps_dim);
-            let fc_weight_bytes =
-                checked_product("ClassCaps FC weights", &[caps, classes, out_dim, in_dim]);
-            let fc_tiles = checked_product(
-                "ClassCaps FC tiles",
-                &[
-                    caps,
-                    ceil_div(
-                        checked_product("class capsules", &[classes, out_dim]),
-                        u64_from(cfg.cols),
-                    ),
-                ],
-            );
-            let load = u64_from(cfg.rows) + 1;
-            // M = batch rows per capsule-tile instead of 1.
-            let fc_compute = if tiles_pipeline(cfg) {
-                load + batch
-                    + checked_product("ClassCaps FC pipeline", &[fc_tiles - 1, batch.max(load)])
-                    + u64_from(cfg.rows + cfg.cols)
-            } else {
-                checked_product(
-                    "ClassCaps FC cycles",
-                    &[fc_tiles, load + batch + u64_from(cfg.rows + cfg.cols)],
-                )
-            };
-            let fc_stream = ceil_div(fc_weight_bytes, cfg.weight_mem_bw);
-            s.cycles = fc_compute.max(fc_stream);
-            s.data_mem_bytes =
-                checked_product("batched û stream", &[batch, caps, classes, out_dim]);
-        } else {
-            s.cycles = checked_product("batched step cycles", &[s.cycles, batch]);
-            s.data_mem_bytes = checked_product("batched step bytes", &[s.data_mem_bytes, batch]);
-        }
-    }
-    steps
 }
 
 /// Closed-form timing of a layer-major batched inference pass — the
@@ -729,10 +583,10 @@ impl BatchInferenceTiming {
     }
 }
 
-/// Computes the batched-inference timing: `batch` images through the
-/// layer-major weight-resident schedule.
-///
-/// With `batch == 1` this reduces exactly to [`full_inference`].
+/// Computes the full-inference timing of `batch` images through the
+/// layer-major weight-resident schedule: the three layers of Fig. 16,
+/// with the ClassCaps layer broken into the steps of Fig. 17. `batch ==
+/// 1` is a single inference.
 ///
 /// # Example
 ///
@@ -742,6 +596,8 @@ impl BatchInferenceTiming {
 /// let cfg = AcceleratorConfig::paper();
 /// let net = CapsNetConfig::mnist();
 /// let b1 = timing::full_inference_batch(&cfg, &net, 1);
+/// // PrimaryCaps (5.3 MB of weights for 36 output pixels) dominates.
+/// assert!(b1.primary_caps.cycles > b1.conv1.cycles);
 /// let b16 = timing::full_inference_batch(&cfg, &net, 16);
 /// // 16 images pay for one weight load: fewer cycles per image.
 /// assert!(b16.cycles_per_image() < b1.cycles_per_image());
@@ -772,57 +628,25 @@ pub fn full_inference_batch(
     };
     BatchInferenceTiming {
         batch,
-        conv1: conv_layer_batch("Conv1", &net.conv1_geometry(), true, batch, cfg),
-        primary_caps: primary_caps_layer_batch(net, batch, cfg),
-        class_caps_steps: batch_routing_steps(net, batch, cfg),
+        conv1: conv_layer("Conv1", &net.conv1_geometry(), true, batch, cfg),
+        primary_caps: primary_caps_layer(net, batch, cfg),
+        class_caps_steps: routing_steps(net, batch, cfg),
         fc_weight_bytes,
     }
 }
 
-/// Steady-state batch throughput in inferences per second, assuming the
-/// three layer phases pipeline across consecutive images (each phase's
-/// resources are distinct: the array time-multiplexes, so the bottleneck
-/// phase sets the rate — a standard layer-pipelining upper bound).
+/// Analytical estimate of the memory/buffer traffic of a layer-major
+/// pass over `batch` images — the closed-form counterpart of the
+/// engine's counters, usable at MNIST scale where the cycle-accurate
+/// engine is slow.
 ///
-/// # Example
-///
-/// ```
-/// use capsacc_core::{timing, AcceleratorConfig};
-/// use capsacc_capsnet::CapsNetConfig;
-/// let cfg = AcceleratorConfig::paper();
-/// let single = 1e6 / timing::full_inference(&cfg, &CapsNetConfig::mnist()).total_time_us(&cfg);
-/// let pipelined = timing::batch_throughput(&cfg, &CapsNetConfig::mnist());
-/// assert!(pipelined >= single);
-/// ```
-pub fn batch_throughput(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> f64 {
-    let t = full_inference(cfg, net);
-    let bottleneck = t
-        .conv1
-        .cycles
-        .max(t.primary_caps.cycles)
-        .max(t.class_caps_cycles());
-    1e6 / cfg.cycles_to_us(bottleneck)
-}
-
-/// Analytical estimate of the memory/buffer traffic of one full
-/// inference — the closed-form counterpart of the engine's counters,
-/// usable at MNIST scale where the cycle-accurate engine is slow.
-///
-/// Accounting: weight reads once per (K, N) tile visit (or per data row
-/// without reuse); data-buffer reads once per tile's data stream; the û
-/// working set staged once (plus re-reads when the feedback path is
-/// disabled); routing-buffer traffic for couplings, logits and class
-/// capsules per iteration.
-pub fn traffic_estimate(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> crate::TrafficReport {
-    batch_traffic_estimate(cfg, net, 1)
-}
-
-/// Analytical traffic estimate of a layer-major batched pass: weight
-/// reads are charged once per *batch* (the residency amortization),
-/// while everything keyed to per-image state — data streams, the û
+/// Accounting: weight reads once per (K, N) tile visit per *batch* (the
+/// residency amortization; once per data row without reuse); data-buffer
+/// reads once per tile's data stream; the û working set staged once per
+/// image (plus re-reads when the feedback path is disabled);
+/// routing-buffer traffic for couplings, logits and class capsules per
+/// iteration. Everything keyed to per-image state — data streams, the û
 /// staging, all routing traffic — scales linearly with the batch.
-///
-/// With `batch == 1` this is exactly [`traffic_estimate`].
 ///
 /// # Panics
 ///
@@ -849,7 +673,7 @@ pub fn batch_traffic_estimate(
         } else {
             product("bias reloads", &[batch, u64_from(g.out_ch)])
         };
-        let wbytes = batch_matmul_weight_bytes(shape, batch, cfg) + biases;
+        let wbytes = matmul_weight_bytes(shape, batch, cfg) + biases;
         t.read(MemoryKind::WeightMemory, wbytes);
         t.read(MemoryKind::WeightBuffer, wbytes);
         // Off chip, each weight and bias crosses the DRAM channel once
@@ -1012,7 +836,7 @@ fn geometry(
 /// `dataflow.weight_reuse == true`) this is exactly what the engine's
 /// [`crate::Accelerator::matmul_batch`] adds to its stall counter for
 /// the same shape — the ticked engine executes tiles serially and, like
-/// [`batch_matmul_cycles`], always simulates the real design point with
+/// [`matmul_cycles`], always simulates the real design point with
 /// the second weight register present, so the `weight_reuse` ablation's
 /// [`TileSchedule::ReloadPerRow`] windows are analytical-only. Zero
 /// under `IdealMemory` either way.
@@ -1174,12 +998,6 @@ pub fn full_inference_batch_mem(
     }
 }
 
-/// Memory-aware single-inference timing: [`full_inference_batch_mem`]
-/// with a batch of one.
-pub fn full_inference_mem(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> MemInferenceTiming {
-    full_inference_batch_mem(cfg, net, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1195,10 +1013,10 @@ mod tests {
         // 4×4 array, one tile: load (5) + stream (3 + 4 + 4) = 16.
         c.rows = 4;
         c.cols = 4;
-        let got = matmul_cycles(MatmulShape { m: 3, k: 4, n: 4 }, &c);
+        let got = matmul_cycles(MatmulShape { m: 3, k: 4, n: 4 }, 1, &c);
         assert_eq!(got, 16);
         // Two K-tiles, two N-tiles: 4 tiles.
-        let got = matmul_cycles(MatmulShape { m: 3, k: 8, n: 8 }, &c);
+        let got = matmul_cycles(MatmulShape { m: 3, k: 8, n: 8 }, 1, &c);
         assert_eq!(got, 4 * 16);
     }
 
@@ -1210,7 +1028,7 @@ mod tests {
         for (m, k, n) in [(1, 8, 160), (400, 81, 256), (36, 2304, 256), (16, 1152, 16)] {
             let shape = MatmulShape { m, k, n };
             assert!(
-                matmul_cycles(shape, &pipelined) <= matmul_cycles(shape, &serial),
+                matmul_cycles(shape, 1, &pipelined) <= matmul_cycles(shape, 1, &serial),
                 "pipelining regressed {shape:?}"
             );
         }
@@ -1224,10 +1042,10 @@ mod tests {
         c.cols = 4;
         let shape = MatmulShape { m: 3, k: 4, n: 4 };
         // 3 rows × 5-cycle loads + stream 11.
-        assert_eq!(matmul_cycles(shape, &c), 3 * 5 + 11);
-        assert_eq!(matmul_weight_bytes(shape, &c), 16 * 3);
+        assert_eq!(matmul_cycles(shape, 1, &c), 3 * 5 + 11);
+        assert_eq!(matmul_weight_bytes(shape, 1, &c), 16 * 3);
         c.dataflow.weight_reuse = true;
-        assert_eq!(matmul_weight_bytes(shape, &c), 16);
+        assert_eq!(matmul_weight_bytes(shape, 1, &c), 16);
     }
 
     #[test]
@@ -1235,12 +1053,12 @@ mod tests {
         // PrimaryCaps moves 5.3 MB of weights for only 36 output pixels:
         // the weight stream (5 308 672 B at 8 B/cycle) runs neck-and-neck
         // with compute — the layer the GPU keeps an edge on (Fig. 16).
-        let t = primary_caps_layer(&CapsNetConfig::mnist(), &cfg());
+        let t = primary_caps_layer(&CapsNetConfig::mnist(), 1, &cfg());
         assert_eq!(t.weight_stream_cycles, 5_308_672_u64.div_ceil(8));
         let ratio = t.compute_cycles as f64 / t.weight_stream_cycles as f64;
         assert!((0.8..1.5).contains(&ratio), "ratio = {ratio}");
         // And it dominates the whole inference.
-        let full = full_inference(&cfg(), &CapsNetConfig::mnist());
+        let full = full_inference_batch(&cfg(), &CapsNetConfig::mnist(), 1);
         assert!(full.primary_caps.cycles > full.conv1.cycles);
         assert!(full.primary_caps.cycles > full.class_caps_cycles());
     }
@@ -1251,6 +1069,7 @@ mod tests {
             "Conv1",
             &CapsNetConfig::mnist().conv1_geometry(),
             true,
+            1,
             &cfg(),
         );
         assert!(t.compute_cycles > t.weight_stream_cycles);
@@ -1259,7 +1078,7 @@ mod tests {
 
     #[test]
     fn routing_steps_sequence_matches_fig17() {
-        let steps = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let steps = routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         let names: Vec<String> = steps.iter().map(|s| s.step.to_string()).collect();
         assert_eq!(
             names,
@@ -1272,10 +1091,10 @@ mod tests {
 
     #[test]
     fn skip_first_softmax_saves_cycles() {
-        let with = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let with = routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         let mut c = cfg();
         c.dataflow.skip_first_softmax = false;
-        let without = routing_steps(&CapsNetConfig::mnist(), &c);
+        let without = routing_steps(&CapsNetConfig::mnist(), 1, &c);
         let s_with = with
             .iter()
             .find(|s| s.step == RoutingStep::Softmax(1))
@@ -1299,10 +1118,10 @@ mod tests {
 
     #[test]
     fn feedback_reuse_eliminates_data_memory_rereads() {
-        let with = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let with = routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         let mut c = cfg();
         c.dataflow.routing_feedback = false;
-        let without = routing_steps(&CapsNetConfig::mnist(), &c);
+        let without = routing_steps(&CapsNetConfig::mnist(), 1, &c);
         let mem = |steps: &[RoutingStepTiming]| -> u64 {
             steps
                 .iter()
@@ -1322,22 +1141,20 @@ mod tests {
         // 1152 · 10 · 16 bytes at 8 B/cycle = 23 040 cycles ≈ 92 µs at
         // 250 MHz — the paper reports the CapsAcc Load as ~9% faster than
         // the GPU's ~100 µs.
-        let steps = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let steps = routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         assert_eq!(steps[0].cycles, 23_040);
     }
 
     #[test]
     fn full_inference_totals_are_consistent() {
-        let t = full_inference(&cfg(), &CapsNetConfig::mnist());
+        let t = full_inference_batch(&cfg(), &CapsNetConfig::mnist(), 1);
         assert_eq!(
             t.total_cycles(),
             t.conv1.cycles + t.primary_caps.cycles + t.class_caps_cycles()
         );
-        let rows = t.layer_rows();
-        assert_eq!(rows.len(), 3);
         // Total inference lands in the single-digit-millisecond regime at
         // 250 MHz, like the paper's.
-        let ms = t.total_time_us(&cfg()) / 1000.0;
+        let ms = t.time_per_image_us(&cfg()) / 1000.0;
         assert!((1.0..10.0).contains(&ms), "total = {ms} ms");
     }
 
@@ -1345,7 +1162,7 @@ mod tests {
     fn squash_step_is_negligible() {
         // The headline effect: squashing goes from the GPU bottleneck to
         // a negligible cost on CapsAcc.
-        let steps = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let steps = routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         let squash: u64 = steps
             .iter()
             .filter(|s| matches!(s.step, RoutingStep::Squash(_)))
@@ -1374,21 +1191,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_throughput_bounded_by_bottleneck_layer() {
-        let c = cfg();
-        let net = CapsNetConfig::mnist();
-        let t = full_inference(&c, &net);
-        let rate = batch_throughput(&c, &net);
-        // PrimaryCaps dominates: the pipelined rate equals its phase rate.
-        let expect = 1e6 / c.cycles_to_us(t.primary_caps.cycles);
-        assert!((rate - expect).abs() < 1e-9);
-        // And beats the single-image latency rate.
-        assert!(rate > 1e6 / t.total_time_us(&c));
-    }
-
-    #[test]
     fn traffic_estimate_has_paper_scale_footprints() {
-        let t = traffic_estimate(&cfg(), &CapsNetConfig::mnist());
+        let t = batch_traffic_estimate(&cfg(), &CapsNetConfig::mnist(), 1);
         use crate::MemoryKind;
         // All trainable weights read exactly once (full reuse).
         assert_eq!(t.counter(MemoryKind::WeightMemory).read_bytes, 6_804_224);
@@ -1396,7 +1200,7 @@ mod tests {
         let dm = t.counter(MemoryKind::DataMemory).read_bytes;
         let mut no_fb = cfg();
         no_fb.dataflow.routing_feedback = false;
-        let t2 = traffic_estimate(&no_fb, &CapsNetConfig::mnist());
+        let t2 = batch_traffic_estimate(&no_fb, &CapsNetConfig::mnist(), 1);
         let dm2 = t2.counter(MemoryKind::DataMemory).read_bytes;
         assert_eq!(dm2 - dm, 4 * 184_320);
     }
@@ -1405,28 +1209,12 @@ mod tests {
     fn traffic_estimate_no_reuse_multiplies_weight_reads() {
         let mut c = cfg();
         c.dataflow.weight_reuse = false;
-        let with = traffic_estimate(&cfg(), &CapsNetConfig::mnist());
-        let without = traffic_estimate(&c, &CapsNetConfig::mnist());
+        let with = batch_traffic_estimate(&cfg(), &CapsNetConfig::mnist(), 1);
+        let without = batch_traffic_estimate(&c, &CapsNetConfig::mnist(), 1);
         use crate::MemoryKind;
         assert!(
             without.counter(MemoryKind::WeightMemory).read_bytes
                 > 10 * with.counter(MemoryKind::WeightMemory).read_bytes
-        );
-    }
-
-    #[test]
-    fn batch_of_one_reduces_to_single_inference() {
-        let c = cfg();
-        let net = CapsNetConfig::mnist();
-        let single = full_inference(&c, &net);
-        let batched = full_inference_batch(&c, &net, 1);
-        assert_eq!(batched.conv1, single.conv1);
-        assert_eq!(batched.primary_caps, single.primary_caps);
-        assert_eq!(batched.class_caps_steps, single.class_caps_steps);
-        assert_eq!(batched.total_cycles(), single.total_cycles());
-        assert_eq!(
-            batch_traffic_estimate(&c, &net, 1),
-            traffic_estimate(&c, &net)
         );
     }
 
@@ -1441,8 +1229,8 @@ mod tests {
         // Residency across the batch: strictly cheaper than N independent
         // runs, and exactly the M' = B·M schedule.
         for batch in [2u64, 4, 16] {
-            let b = batch_matmul_cycles(shape, batch, &c);
-            assert!(b < batch * matmul_cycles(shape, &c));
+            let b = matmul_cycles(shape, batch, &c);
+            assert!(b < batch * matmul_cycles(shape, 1, &c));
             assert_eq!(
                 b,
                 matmul_cycles(
@@ -1450,13 +1238,14 @@ mod tests {
                         m: shape.m * batch,
                         ..shape
                     },
+                    1,
                     &c
                 )
             );
             // Weight bytes are paid once per batch.
             assert_eq!(
-                batch_matmul_weight_bytes(shape, batch, &c),
-                matmul_weight_bytes(shape, &c)
+                matmul_weight_bytes(shape, batch, &c),
+                matmul_weight_bytes(shape, 1, &c)
             );
         }
         // Without the second weight register there is nothing to hold
@@ -1464,12 +1253,12 @@ mod tests {
         let mut no_reuse = c;
         no_reuse.dataflow.weight_reuse = false;
         assert_eq!(
-            batch_matmul_cycles(shape, 8, &no_reuse),
-            8 * matmul_cycles(shape, &no_reuse)
+            matmul_cycles(shape, 8, &no_reuse),
+            8 * matmul_cycles(shape, 1, &no_reuse)
         );
         assert_eq!(
-            batch_matmul_weight_bytes(shape, 8, &no_reuse),
-            8 * matmul_weight_bytes(shape, &no_reuse)
+            matmul_weight_bytes(shape, 8, &no_reuse),
+            8 * matmul_weight_bytes(shape, 1, &no_reuse)
         );
     }
 
@@ -1481,8 +1270,8 @@ mod tests {
         // per-image cycles strictly fall.
         let c = cfg();
         let net = CapsNetConfig::mnist();
-        let b1 = primary_caps_layer_batch(&net, 1, &c);
-        let b16 = primary_caps_layer_batch(&net, 16, &c);
+        let b1 = primary_caps_layer(&net, 1, &c);
+        let b16 = primary_caps_layer(&net, 16, &c);
         assert_eq!(b16.weight_stream_cycles, b1.weight_stream_cycles);
         assert_eq!(b16.weight_bytes, b1.weight_bytes);
         assert!(b16.compute_cycles > 10 * b16.weight_stream_cycles);
@@ -1500,17 +1289,17 @@ mod tests {
                 .expect("fc step")
                 .cycles
         };
-        let b1 = fc(&batch_routing_steps(&net, 1, &c));
-        let b16 = fc(&batch_routing_steps(&net, 16, &c));
+        let b1 = fc(&routing_steps(&net, 1, &c));
+        let b16 = fc(&routing_steps(&net, 16, &c));
         // The 1.47 MB of W_ij stream once per batch.
         assert!((b16 as f64 / 16.0) < 0.2 * b1 as f64);
         // Per-image routing steps scale linearly.
-        let sum1: u64 = batch_routing_steps(&net, 1, &c)
+        let sum1: u64 = routing_steps(&net, 1, &c)
             .iter()
             .filter(|s| matches!(s.step, RoutingStep::Sum(_)))
             .map(|s| s.cycles)
             .sum();
-        let sum16: u64 = batch_routing_steps(&net, 16, &c)
+        let sum16: u64 = routing_steps(&net, 16, &c)
             .iter()
             .filter(|s| matches!(s.step, RoutingStep::Sum(_)))
             .map(|s| s.cycles)
@@ -1554,10 +1343,13 @@ mod tests {
         let shape = MatmulShape { m: 5, k: 16, n: 8 };
         let mut serial = c;
         serial.dataflow.pipelined_tiles = false;
-        assert_eq!(matmul_cycles(shape, &c), matmul_cycles(shape, &serial));
+        assert_eq!(
+            matmul_cycles(shape, 1, &c),
+            matmul_cycles(shape, 1, &serial)
+        );
         // With room for the double buffer, pipelining resumes.
         c.weight_buffer_bytes = 32;
-        assert!(matmul_cycles(shape, &c) < matmul_cycles(shape, &serial));
+        assert!(matmul_cycles(shape, 1, &c) < matmul_cycles(shape, 1, &serial));
     }
 
     #[test]
@@ -1629,7 +1421,7 @@ mod tests {
             class_caps_dim: 1 << 8,
             routing_iterations: 3,
         };
-        let _ = routing_steps(&net, &cfg());
+        let _ = routing_steps(&net, 1, &cfg());
     }
 
     #[test]
@@ -1657,9 +1449,9 @@ mod tests {
         // The audit must not perturb any in-range formula: spot-check the
         // paper design point against hand-computed values that predate
         // the checked-cast conversion.
-        let steps = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let steps = routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         assert_eq!(steps[0].cycles, 23_040); // Load: 184 320 B at 8 B/cy
-        let t = full_inference(&cfg(), &CapsNetConfig::mnist());
+        let t = full_inference_batch(&cfg(), &CapsNetConfig::mnist(), 1);
         assert_eq!(
             t.total_cycles(),
             t.conv1.cycles + t.primary_caps.cycles + t.class_caps_cycles()
@@ -1672,6 +1464,7 @@ mod tests {
             "Conv1",
             &CapsNetConfig::mnist().conv1_geometry(),
             true,
+            1,
             &cfg(),
         );
         let mut big = cfg();
@@ -1682,6 +1475,7 @@ mod tests {
             "Conv1",
             &CapsNetConfig::mnist().conv1_geometry(),
             true,
+            1,
             &big,
         );
         assert!(t.compute_cycles < base.compute_cycles);

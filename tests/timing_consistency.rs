@@ -38,6 +38,7 @@ fn engine_matches_serial_formula_across_shapes() {
                 k: k as u64,
                 n: n as u64,
             },
+            1,
             &cfg,
         );
         assert_eq!(got, want, "cycle mismatch for ({m},{k},{n})");
@@ -67,7 +68,7 @@ fn batched_engine_matches_batched_serial_formula() {
                 ActivationKind::Identity,
             );
             let got = acc.array_cycles() - before;
-            let want = timing::batch_matmul_cycles(
+            let want = timing::matmul_cycles(
                 timing::MatmulShape {
                     m: m as u64,
                     k: k as u64,
@@ -143,7 +144,7 @@ fn batched_engine_and_model_agree_on_amortization_direction() {
 fn every_optimization_reduces_or_preserves_total_cycles() {
     let net = CapsNetConfig::mnist();
     let base = AcceleratorConfig::paper();
-    let total = |cfg: &AcceleratorConfig| timing::full_inference(cfg, &net).total_cycles();
+    let total = |cfg: &AcceleratorConfig| timing::full_inference_batch(cfg, &net, 1).total_cycles();
     let baseline = total(&base);
 
     let mut c = base;
@@ -166,7 +167,7 @@ fn routing_step_sequence_consistent_between_models() {
     // sequence (Fig. 17 x-axis).
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
-    let analytical: Vec<String> = timing::routing_steps(&net, &cfg)
+    let analytical: Vec<String> = timing::routing_steps(&net, 1, &cfg)
         .iter()
         .map(|s| s.step.to_string())
         .collect();
@@ -185,10 +186,10 @@ fn clock_frequency_scales_wall_time_not_cycles() {
     let base = AcceleratorConfig::paper();
     let mut fast = base;
     fast.clock_mhz = 500;
-    let t_base = timing::full_inference(&base, &net);
-    let t_fast = timing::full_inference(&fast, &net);
+    let t_base = timing::full_inference_batch(&base, &net, 1);
+    let t_fast = timing::full_inference_batch(&fast, &net, 1);
     assert_eq!(t_base.total_cycles(), t_fast.total_cycles());
-    let ratio = t_base.total_time_us(&base) / t_fast.total_time_us(&fast);
+    let ratio = t_base.time_per_image_us(&base) / t_fast.time_per_image_us(&fast);
     assert!((ratio - 2.0).abs() < 1e-9);
 }
 
@@ -199,8 +200,8 @@ fn wider_memory_helps_primarycaps_only_up_to_compute() {
     narrow.weight_mem_bw = 4;
     let mut wide = AcceleratorConfig::paper();
     wide.weight_mem_bw = 64;
-    let t_narrow = timing::full_inference(&narrow, &net);
-    let t_wide = timing::full_inference(&wide, &net);
+    let t_narrow = timing::full_inference_batch(&narrow, &net, 1);
+    let t_wide = timing::full_inference_batch(&wide, &net, 1);
     assert!(t_narrow.primary_caps.cycles > t_wide.primary_caps.cycles);
     // Once memory is fast enough, compute is the floor.
     assert_eq!(
@@ -212,8 +213,8 @@ fn wider_memory_helps_primarycaps_only_up_to_compute() {
 #[test]
 fn mnist_inference_in_milliseconds_regime() {
     let cfg = AcceleratorConfig::paper();
-    let t = timing::full_inference(&cfg, &CapsNetConfig::mnist());
-    let ms = t.total_time_us(&cfg) / 1000.0;
+    let t = timing::full_inference_batch(&cfg, &CapsNetConfig::mnist(), 1);
+    let ms = t.time_per_image_us(&cfg) / 1000.0;
     assert!((1.0..10.0).contains(&ms), "{ms} ms");
     // Layer ordering sanity: PrimaryCaps > ClassCaps > Conv1.
     assert!(t.primary_caps.cycles > t.class_caps_cycles());
