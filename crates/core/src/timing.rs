@@ -583,6 +583,22 @@ impl BatchInferenceTiming {
     }
 }
 
+/// Computes the timing of a single inference: shorthand for
+/// [`full_inference_batch`] at `batch = 1`, with no formula of its own.
+///
+/// # Example
+///
+/// ```
+/// use capsacc_core::{timing, AcceleratorConfig};
+/// use capsacc_capsnet::CapsNetConfig;
+/// let t = timing::full_inference(&AcceleratorConfig::paper(), &CapsNetConfig::mnist());
+/// // PrimaryCaps (5.3 MB of weights for 36 output pixels) dominates.
+/// assert!(t.primary_caps.cycles > t.conv1.cycles);
+/// ```
+pub fn full_inference(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> BatchInferenceTiming {
+    full_inference_batch(cfg, net, 1)
+}
+
 /// Computes the full-inference timing of `batch` images through the
 /// layer-major weight-resident schedule: the three layers of Fig. 16,
 /// with the ClassCaps layer broken into the steps of Fig. 17. `batch ==
