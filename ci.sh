@@ -21,6 +21,22 @@ run cargo build --release
 # The benchmark is a workspace of its own; build it so a serve or core
 # API change that breaks it fails here, not in the benchmark run.
 run cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# Benchmark correctness smoke run: both engine workloads, traced, at
+# MNIST scale. Every call's outputs are checked against the pinned q8
+# reference digests and its cycle pin, and every traced call's span
+# tree is validated; the step fails unless the last line reports
+# "correct": true.
+for workload in engine_b16_serving engine_b1_validate; do
+    echo
+    echo "==> perfbench --workload $workload --seed 1 --seconds 1 --trace 1"
+    last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    echo "$last"
+    case "$last" in
+        *'"correct": true'*) ;;
+        *) echo "perfbench $workload: checks failed"; exit 1 ;;
+    esac
+done
 run cargo test --workspace -q
 # Benches are excluded from `cargo test`; make sure they still compile.
 run cargo bench -p capsacc-bench --no-run

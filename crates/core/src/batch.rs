@@ -49,13 +49,14 @@ use std::fmt;
 
 use capsacc_capsnet::{CapsNetConfig, QuantOutput, QuantTrace, QuantizedParams};
 use capsacc_memory::MemReport;
-use capsacc_tensor::{qops::MacStats, u64_from, Tensor};
+use capsacc_tensor::{qops::MacStats, u64_from, ConvGeometry, Tensor};
 
 use capsacc_telemetry::{CycleKind, SpanDetail};
 
 use crate::activation::ActivationKind;
 use crate::config::AcceleratorConfig;
 use crate::engine::{to_chw, Accelerator, LayerRun};
+use crate::operand::{Axis, View};
 use crate::timing::RoutingStep;
 use crate::traffic::{MemoryKind, TrafficReport};
 
@@ -247,6 +248,35 @@ const _: () = {
     assert_send_sync::<BatchError>();
 };
 
+/// Each image's im2col panel: row `mi`, column `ki` reads
+/// `image[origins[mi] + taps[ki]]`.
+fn im2col_views<'a>(
+    images: &'a [Tensor<i8>],
+    origins: &'a [usize],
+    taps: &'a [usize],
+) -> Vec<View<'a>> {
+    images
+        .iter()
+        .map(|im| View {
+            src: im.data(),
+            origin: 0,
+            rows: Axis::Table(origins),
+            cols: Axis::Table(taps),
+        })
+        .collect()
+}
+
+/// A convolution's `[out_ch][patch]` weights as the `patch × out_ch`
+/// matmul operand.
+fn conv_weights<'a>(w: &'a Tensor<i8>, g: &ConvGeometry) -> View<'a> {
+    View {
+        src: w.data(),
+        origin: 0,
+        rows: Axis::Strided(1),
+        cols: Axis::Strided(g.patch_len()),
+    }
+}
+
 impl Accelerator {
     /// Runs a batch of CapsuleNet inferences cycle-accurately with the
     /// work reordered layer-major: every weight tile of Conv1,
@@ -323,19 +353,12 @@ impl Accelerator {
         // Biases ride along with the layer's off-chip weight stream.
         self.traffic.read(MemoryKind::Dram, u64_from(g1.out_ch));
         self.memory.stage_bias(u64_from(g1.out_ch));
-        let inputs_ref = &inputs_q;
-        let w1 = &qparams.conv1_w;
-        // im2col addressing is affine: `input_index(mi, ki) =
-        // patch_origin(mi) + tap_offset(ki)`. Precomputing both halves
-        // once per layer keeps the staged panel identical while the
-        // data closure becomes two table lookups and an add instead of
-        // a six-op div/mod decomposition per element.
+        // im2col addressing: `input_index(mi, ki) = patch_origin(mi) +
+        // tap_offset(ki)`, both halves tabulated once per layer.
         let (g1_origins, g1_taps) = (g1.patch_origins(), g1.tap_offsets());
-        let g1_patch_len = g1.patch_len();
         let (conv1_mns, conv1_sats) = self.matmul_batch_inner(
-            batch,
-            &|img, mi, ki| inputs_ref[img].data()[g1_origins[mi] + g1_taps[ki]],
-            &|ki, oc| w1.data()[oc * g1_patch_len + ki],
+            &im2col_views(&inputs_q, &g1_origins, &g1_taps),
+            &conv_weights(&qparams.conv1_w, &g1),
             g1.patches(),
             g1.patch_len(),
             g1.out_ch,
@@ -368,14 +391,10 @@ impl Accelerator {
         let m0 = self.memory_stall_cycles;
         self.traffic.read(MemoryKind::Dram, u64_from(gp.out_ch));
         self.memory.stage_bias(u64_from(gp.out_ch));
-        let conv1_ref = &conv1_outs;
-        let wp = &qparams.pc_w;
         let (gp_origins, gp_taps) = (gp.patch_origins(), gp.tap_offsets());
-        let gp_patch_len = gp.patch_len();
         let (pc_mns, pc_sats) = self.matmul_batch_inner(
-            batch,
-            &|img, mi, ki| conv1_ref[img].data()[gp_origins[mi] + gp_taps[ki]],
-            &|ki, oc| wp.data()[oc * gp_patch_len + ki],
+            &im2col_views(&conv1_outs, &gp_origins, &gp_taps),
+            &conv_weights(&qparams.pc_w, &gp),
             gp.patches(),
             gp.patch_len(),
             gp.out_ch,
@@ -436,19 +455,31 @@ impl Accelerator {
         self.rec.begin(SpanDetail::Phases, "fc");
         self.rec.suppress(CycleKind::Activation);
         let c0 = self.array.cycles();
-        let wc = &qparams.w_class;
-        let caps_ref = &capsules;
         let mut u_hats: Vec<Tensor<i8>> = (0..batch)
             .map(|_| Tensor::zeros(&[in_caps, classes, out_dim]))
             .collect();
         for cap in 0..in_caps {
+            let caps: Vec<View<'_>> = capsules
+                .iter()
+                .map(|c| View {
+                    src: c.data(),
+                    origin: cap * in_dim,
+                    rows: Axis::Strided(0),
+                    cols: Axis::Strided(1),
+                })
+                .collect();
+            // `col = class * out_dim + e`, and the `[cap][class][e][d]`
+            // layout puts element `(d, col)` at `(cap * classes * out_dim
+            // + col) * in_dim + d`.
+            let w_ij = View {
+                src: qparams.w_class.data(),
+                origin: cap * classes * out_dim * in_dim,
+                rows: Axis::Strided(1),
+                cols: Axis::Strided(in_dim),
+            };
             let (fc, fc_sats) = self.matmul_batch_inner(
-                batch,
-                &|img, _mi, d| caps_ref[img].data()[cap * in_dim + d],
-                // `col = class * out_dim + e`, and the `[cap][class][e][d]`
-                // layout flattens to `(cap * classes * out_dim + col) * in_dim
-                // + d` — no per-element div/mod decomposition needed.
-                &|d, col| wc.data()[(cap * classes * out_dim + col) * in_dim + d],
+                &caps,
+                &w_ij,
                 1,
                 in_dim,
                 classes * out_dim,

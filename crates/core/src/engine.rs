@@ -39,6 +39,7 @@ use crate::accumulator::AccumulatorUnit;
 use crate::activation::{ActivationKind, ActivationUnit};
 use crate::config::{AcceleratorConfig, EngineBackend, TraceLevel};
 use crate::kernel;
+use crate::operand::{Axis, View};
 use crate::systolic::SystolicArray;
 use crate::timing::RoutingStep;
 use crate::traffic::{MemoryKind, TrafficReport};
@@ -131,11 +132,16 @@ pub struct Accelerator {
 }
 
 /// Reshapes a `[patches, out_ch]` matmul result into the `[out_ch, oh,
-/// ow]` layout the next layer consumes.
+/// ow]` layout the next layer consumes (a transpose).
 pub(crate) fn to_chw(mn: &Tensor<i8>, g: &capsacc_tensor::ConvGeometry) -> Tensor<i8> {
-    Tensor::from_fn(&[g.out_ch, g.out_h(), g.out_w()], |i| {
-        mn[[i[1] * g.out_w() + i[2], i[0]]]
-    })
+    let patches = g.patches();
+    let mut chw = vec![0i8; patches * g.out_ch];
+    for (p, row) in mn.data().chunks_exact(g.out_ch).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            chw[c * patches + p] = v;
+        }
+    }
+    Tensor::from_vec(&[g.out_ch, g.out_h(), g.out_w()], chw).expect("a transpose keeps the length")
 }
 
 /// Everything the routing-by-agreement phase produces for one image —
@@ -295,9 +301,10 @@ impl Accelerator {
     /// against them, per-column accumulator FIFOs fold K-tiles, and the
     /// activation units reduce the finished 25-bit sums to 8 bits.
     ///
-    /// `data(m, k)` and `weight(k, n)` supply operands on demand (the
-    /// Data Buffer's address-generation view); `bias`, when present, is
-    /// indexed by `n` and staged at the product fraction width.
+    /// `data(m, k)` and `weight(k, n)` supply the operands; `bias`,
+    /// when present, is indexed by `n` and staged at the product
+    /// fraction width. See [`Accelerator::matmul_batch`] for how the
+    /// closures are read.
     ///
     /// # Panics
     ///
@@ -336,7 +343,10 @@ impl Accelerator {
     /// and all `batch` images' data rows stream back-to-back against it,
     /// so the Weight Buffer traffic and the per-tile load cycles are paid
     /// once per batch instead of once per image. `data(img, m, k)`
-    /// supplies image `img`'s operands.
+    /// supplies image `img`'s operands. Each closure is called exactly
+    /// once per element, in row-major order, to materialize an owned
+    /// row-major operand; the engine then reads those like any other
+    /// operand view.
     ///
     /// Returns one `[m, n]` output tensor per image plus the per-image
     /// accumulator-saturation counts (attribution is exact because each
@@ -367,14 +377,31 @@ impl Accelerator {
         shift: u32,
         kind: ActivationKind,
     ) -> (Vec<Tensor<i8>>, Vec<u64>) {
-        self.matmul_batch_inner(batch, data, weight, m, k, n, bias, shift, kind, false)
+        assert!(batch > 0, "batch must be non-empty");
+        let mut d = Vec::with_capacity(batch * m * k);
+        for img in 0..batch {
+            for mi in 0..m {
+                d.extend((0..k).map(|ki| data(img, mi, ki)));
+            }
+        }
+        let mut w = Vec::with_capacity(k * n);
+        for ki in 0..k {
+            w.extend((0..n).map(|ni| weight(ki, ni)));
+        }
+        let views: Vec<View<'_>> = (0..batch)
+            .map(|img| View::row_major(&d[img * m * k..(img + 1) * m * k], k))
+            .collect();
+        let weight = View::row_major(&w, n);
+        self.matmul_batch_inner(&views, &weight, m, k, n, bias, shift, kind, false)
     }
 
-    /// The shared tiled-matmul implementation. `weights_offchip` marks
-    /// the weight operand as DRAM-resident (the network's parameter
-    /// layers): its tiles then stream through the memory hierarchy's
-    /// double-buffered prefetcher and are charged to the off-chip
-    /// counters. On-chip operands (routing's `û`/`v_j`, and every weight
+    /// The shared tiled-matmul implementation, over borrowed operand
+    /// views: `data[img]` is image `img`'s `m × k` operand (the batch
+    /// is `data.len()`) and `weight` the shared `k × n` one.
+    /// `weights_offchip` marks the weight operand as DRAM-resident (the
+    /// network's parameter layers): its tiles then stream through the
+    /// memory hierarchy's double-buffered prefetcher and are charged to
+    /// the off-chip counters. On-chip operands (routing's `û`/`v_j`, and every weight
     /// through the public [`Accelerator::matmul_batch`]) touch only the
     /// scratchpads.
     ///
@@ -385,9 +412,8 @@ impl Accelerator {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn matmul_batch_inner(
         &mut self,
-        batch: usize,
-        data: &dyn Fn(usize, usize, usize) -> i8,
-        weight: &dyn Fn(usize, usize) -> i8,
+        data: &[View<'_>],
+        weight: &View<'_>,
         m: usize,
         k: usize,
         n: usize,
@@ -396,6 +422,7 @@ impl Accelerator {
         kind: ActivationKind,
         weights_offchip: bool,
     ) -> (Vec<Tensor<i8>>, Vec<u64>) {
+        let batch = data.len();
         assert!(batch > 0, "batch must be non-empty");
         if let Some(b) = bias {
             assert!(b.len() >= n, "bias shorter than output width");
@@ -444,7 +471,6 @@ impl Accelerator {
 
         if self.cfg.backend == EngineBackend::Functional {
             self.matmul_batch_functional(
-                batch,
                 data,
                 weight,
                 m,
@@ -475,7 +501,7 @@ impl Accelerator {
                 // Weight tile rows (zero-padded to the array width by the
                 // array itself), loaded once for the whole batch.
                 let tile: Vec<Vec<i8>> = (0..kt)
-                    .map(|kr| (0..nt).map(|nc| weight(k0 + kr, n0 + nc)).collect())
+                    .map(|kr| (0..nt).map(|nc| weight.at(k0 + kr, n0 + nc)).collect())
                     .collect();
                 let tile_refs: Vec<&[i8]> = tile.iter().map(|r| r.as_slice()).collect();
                 self.rec
@@ -494,7 +520,7 @@ impl Accelerator {
                 let rows_data: Vec<Vec<i8>> = (0..batch * m)
                     .map(|ri| {
                         let (img, mi) = (ri / m.max(1), ri % m.max(1));
-                        (0..kt).map(|ki| data(img, mi, k0 + ki)).collect()
+                        (0..kt).map(|ki| data[img].at(mi, k0 + ki)).collect()
                     })
                     .collect();
                 self.traffic
@@ -521,6 +547,7 @@ impl Accelerator {
             for (img, image_accs) in accs.iter_mut().enumerate() {
                 self.rec
                     .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
+                let out = outs[img].data_mut();
                 for (c, acc) in image_accs.iter_mut().enumerate() {
                     let events = acc.saturation_events();
                     saturations[img] += events;
@@ -528,7 +555,7 @@ impl Accelerator {
                     let b = bias.map_or(0i64, |b| i64::from(b[n0 + c]));
                     for (mi, raw) in acc.drain().into_iter().enumerate() {
                         let raw = self.apply_acc_fault(raw);
-                        outs[img][[mi, n0 + c]] = self.activation.reduce(raw + b, shift, kind);
+                        out[mi * n + n0 + c] = self.activation.reduce(raw + b, shift, kind);
                     }
                 }
                 let drain_cycles = ActivationUnit::reduce_cycles(u64_from(m));
@@ -583,18 +610,21 @@ impl Accelerator {
     ///   on them — are equal, not merely equivalent. The accounting
     ///   loop runs serially before the row sweep: counter totals are
     ///   the only observable, and they are pure sums.
-    /// - **Data staging.** Operands are staged once per matmul into a
-    ///   flat row-major panel (the ticked path re-invokes the operand
-    ///   closures per N-tile revisit); traffic is charged per tile
-    ///   from the same formulas either way. Weight tiles are staged
-    ///   per N-tile (plus a pair-interleaved `i16` copy when the
-    ///   AVX2 kernels will consume them).
+    /// - **Data staging.** Both operands are borrowed views
+    ///   (`operand::View`) over the tensors that hold them; the ticked
+    ///   path reads them element by element, this path copies them.
+    ///   The data panel is staged once per matmul, row-major, in the one
+    ///   form its kernels read (`i16` for the SIMD kernels, `i8`
+    ///   otherwise), and each N-tile's K-tiles are staged into one
+    ///   reused buffer. Staging walks each view in source-contiguous
+    ///   order; element values, and so results, cannot depend on that
+    ///   order. Traffic is charged per tile from the same formulas
+    ///   either way.
     #[allow(clippy::too_many_arguments)]
     fn matmul_batch_functional(
         &mut self,
-        batch: usize,
-        data: &dyn Fn(usize, usize, usize) -> i8,
-        weight: &dyn Fn(usize, usize) -> i8,
+        data: &[View<'_>],
+        weight: &View<'_>,
         m: usize,
         k: usize,
         n: usize,
@@ -605,9 +635,8 @@ impl Accelerator {
         saturations: &mut [u64],
     ) {
         let (rows, cols) = (self.cfg.rows, self.cfg.cols);
-        let total_rows = batch * m;
+        let total_rows = data.len() * m;
         let opts = self.cfg.functional;
-        let simd_ok = kernel::simd_enabled(opts);
         // Host wall-clock annotation: read host clocks only when
         // explicitly requested, and only into span args — never into
         // any simulated quantity.
@@ -615,14 +644,8 @@ impl Accelerator {
         let (mut stage_ns, mut sweep_ns) = (0u64, 0u64);
         let mut tile_seq = 0u64;
 
-        // Stage the whole data panel once, row-major: tile slices below
-        // are plain subslices, and the operand closure runs once per
-        // element instead of once per N-tile visit.
-        let mut panel: Vec<i8> = Vec::with_capacity(total_rows * k);
-        for ri in 0..total_rows {
-            let (img, mi) = (ri / m.max(1), ri % m.max(1));
-            panel.extend((0..k).map(|ki| data(img, mi, ki)));
-        }
+        let wide = kernel::wide_panel(opts, rows, cols, n);
+        let (panel, zeros) = kernel::Panel::stage(data, m, k, wide);
         // A zero data element contributes +0 to an in-range psum, so
         // the fixed-width kernels may skip it: pick per matmul between
         // the dense kernels and the zero-skipping ones. Both are exact
@@ -633,22 +656,13 @@ impl Accelerator {
         // granularity and trade away the 4-row weight-reuse block, so
         // they need mostly-zero pairs (~3/4 zeros; post-ReLU MNIST
         // panels at ~50% zeros stay on the dense blocked kernel).
-        let zeros = panel.iter().filter(|&&d| d == 0).count();
-        let sparse_data = if simd_ok {
+        let sparse_data = if wide {
             zeros * 4 >= panel.len().max(1) * 3
         } else {
             zeros * 4 >= panel.len().max(1)
         };
-        // Sign-extended copy for the SIMD kernels: adjacent element
-        // pairs become single `i32` broadcast operands. Values are
-        // identical — widening is exact — so which panel a kernel
-        // reads can never change results.
-        let panel_wide: Vec<i16> = if simd_ok {
-            panel.iter().map(|&d| d as i16).collect()
-        } else {
-            Vec::new()
-        };
 
+        let mut weights = kernel::TileWeights::default();
         let mut acc_flat: Vec<i64> = Vec::new(); // per-(ri, c) K-tile accumulators
         let mut row_events: Vec<u64> = Vec::new(); // per-row clip events
 
@@ -659,18 +673,12 @@ impl Accelerator {
             row_events.clear();
             row_events.resize(total_rows, 0);
 
-            // Accounting and weight staging, K-tile by K-tile in the
-            // ticked serial order. Traffic reads and array-cycle
-            // charges are pure counter additions, so hoisting them out
-            // of the (possibly parallel) row sweep preserves every
-            // observable total. Column-outer fill: the parameter
-            // layers store weights `[out_ch][patch]`-major, so walking
-            // `kr` innermost reads each channel's taps contiguously
-            // instead of striding the whole weight tensor per element
-            // (the tile itself is ≤ R·C bytes — write order is free).
+            // Accounting, K-tile by K-tile in the ticked serial order.
+            // Traffic reads and array-cycle charges are pure counter
+            // additions, so hoisting them out of the (possibly
+            // parallel) row sweep preserves every observable total.
             // lint:allow(determinism, host-gated wall-clock probe: runs only when host_timing is requested and never feeds simulated results)
             let t0 = host.then(std::time::Instant::now);
-            let mut tiles: Vec<kernel::KTile> = Vec::with_capacity(k.div_ceil(rows.max(1)));
             for k0 in (0..k).step_by(rows) {
                 let kt = rows.min(k - k0);
                 self.traffic
@@ -694,22 +702,8 @@ impl Accelerator {
                 self.rec.advance(CycleKind::Array, stream_edges);
                 self.rec.end(SpanDetail::Tiles);
                 self.rec.end(SpanDetail::Tiles); // tile
-                let mut w = vec![0i8; kt * nt];
-                for nc in 0..nt {
-                    for kr in 0..kt {
-                        w[kr * nt + nc] = weight(k0 + kr, n0 + nc);
-                    }
-                }
-                tiles.push(kernel::KTile::stage(
-                    k0,
-                    kt,
-                    nt,
-                    w,
-                    sparse_data,
-                    opts,
-                    simd_ok,
-                ));
             }
+            weights.stage(weight, k, rows, n0, nt, sparse_data, opts, wide);
             if let Some(t) = t0 {
                 // lint:allow(cast-audit, truncating u128 nanoseconds to u64 saturates after ~584 years of host wall-clock)
                 stage_ns += t.elapsed().as_nanos() as u64;
@@ -726,10 +720,8 @@ impl Accelerator {
             if threads <= 1 {
                 kernel::process_rows(
                     k,
-                    nt,
-                    &tiles,
+                    &weights,
                     &panel,
-                    &panel_wide,
                     0,
                     total_rows,
                     &mut acc_flat,
@@ -737,8 +729,7 @@ impl Accelerator {
                 );
             } else {
                 let rows_per = total_rows.div_ceil(threads);
-                let (tiles_ref, panel_ref) = (&tiles, panel.as_slice());
-                let wide_ref = panel_wide.as_slice();
+                let (weights_ref, panel_ref) = (&weights, &panel);
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = acc_flat
                         .chunks_mut(rows_per * nt)
@@ -748,10 +739,8 @@ impl Accelerator {
                             scope.spawn(move || {
                                 kernel::process_rows(
                                     k,
-                                    nt,
-                                    tiles_ref,
+                                    weights_ref,
                                     panel_ref,
-                                    wide_ref,
                                     ci * rows_per,
                                     ev_chunk.len(),
                                     acc_chunk,
@@ -772,22 +761,37 @@ impl Accelerator {
 
             // Drain through the activation units, image by image —
             // the same sequence (and activation-cycle charge) as the
-            // ticked drain above. With `k == 0` no K-tile ever ran, so
-            // like the ticked path's empty accumulator FIFOs nothing
-            // is written (in particular, no bias-only outputs), but
-            // the per-image drain charge is still paid.
+            // ticked drain above. An armed fault plan draws over each
+            // image's accumulators in the ticked (column, row) order
+            // first; the activation units are pure, so the reduced
+            // values then go straight into each image's output rows in
+            // row order. With `k == 0` no K-tile ever ran, so like the
+            // ticked path's empty accumulator FIFOs nothing is written
+            // (in particular, no bias-only outputs), but the per-image
+            // drain charge is still paid.
             let drained_rows = if k == 0 { 0 } else { m };
-            for img in 0..batch {
+            let biases: Vec<i64> = (0..nt)
+                .map(|c| bias.map_or(0, |b| i64::from(b[n0 + c])))
+                .collect();
+            for (img, out) in outs.iter_mut().enumerate() {
                 self.rec
                     .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
                 let events: u64 = row_events[img * m..img * m + m].iter().sum();
                 saturations[img] += events;
                 self.accumulator_saturations += events;
-                for c in 0..nt {
-                    let b = bias.map_or(0i64, |b| i64::from(b[n0 + c]));
-                    for mi in 0..drained_rows {
-                        let raw = self.apply_acc_fault(acc_flat[(img * m + mi) * nt + c]);
-                        outs[img][[mi, n0 + c]] = self.activation.reduce(raw + b, shift, kind);
+                let accs = &mut acc_flat[img * m * nt..(img * m + drained_rows) * nt];
+                if self.fault_plan.has_engine_faults() {
+                    for c in 0..nt {
+                        for mi in 0..drained_rows {
+                            accs[mi * nt + c] = self.apply_acc_fault(accs[mi * nt + c]);
+                        }
+                    }
+                }
+                let out = out.data_mut();
+                for (mi, acc_row) in accs.chunks_exact(nt).enumerate() {
+                    let out_row = &mut out[mi * n + n0..mi * n + n0 + nt];
+                    for ((o, &raw), &b) in out_row.iter_mut().zip(acc_row.iter()).zip(&biases) {
+                        *o = self.activation.reduce(raw + b, shift, kind);
                     }
                 }
                 let drain_cycles = ActivationUnit::reduce_cycles(u64_from(m));
@@ -922,20 +926,33 @@ impl Accelerator {
             }
             self.traffic.read(MemoryKind::RoutingBuffer, coupling_bytes);
             let mut s_t: Tensor<i8> = Tensor::zeros(&[classes, out_dim]);
-            let u_ref = &u_hat;
-            let c_ref = &couplings;
             for j in 0..classes {
-                let s_row = self.matmul(
-                    &|_mi, i| c_ref.data()[i * classes + j],
-                    &|i, e| u_ref.data()[(i * classes + j) * out_dim + e],
+                // s_j = c_{·j} · û_{·j}: the coupling column against
+                // class j's `[in_caps][out_dim]` slice of û.
+                let c_j = View {
+                    src: couplings.data(),
+                    origin: j,
+                    rows: Axis::Strided(0),
+                    cols: Axis::Strided(classes),
+                };
+                let u_j = View {
+                    src: u_hat.data(),
+                    origin: j * out_dim,
+                    rows: Axis::Strided(classes * out_dim),
+                    cols: Axis::Strided(1),
+                };
+                let (s_row, _) = self.matmul_batch_inner(
+                    &[c_j],
+                    &u_j,
                     1,
                     in_caps,
                     out_dim,
                     None,
                     ncfg.coupling_mac_shift(),
                     ActivationKind::Identity,
+                    false,
                 );
-                s_t.data_mut()[j * out_dim..(j + 1) * out_dim].copy_from_slice(s_row.data());
+                s_t.data_mut()[j * out_dim..(j + 1) * out_dim].copy_from_slice(s_row[0].data());
             }
             macs += u64_from(classes * out_dim * in_caps);
             self.rec.unsuppress(CycleKind::Activation);
@@ -973,21 +990,34 @@ impl Accelerator {
                 }
                 self.traffic
                     .read(MemoryKind::RoutingBuffer, u64_from(classes * out_dim));
-                let v_ref = &class_caps;
                 for j in 0..classes {
-                    let deltas = self.matmul(
-                        &|i, e| u_ref.data()[(i * classes + j) * out_dim + e],
-                        &|e, _| v_ref.data()[j * out_dim + e],
+                    // Agreement of every û_{i|j} row with v_j.
+                    let u_j = View {
+                        src: u_hat.data(),
+                        origin: j * out_dim,
+                        rows: Axis::Strided(classes * out_dim),
+                        cols: Axis::Strided(1),
+                    };
+                    let v_j = View {
+                        src: class_caps.data(),
+                        origin: j * out_dim,
+                        rows: Axis::Strided(1),
+                        cols: Axis::Strided(0),
+                    };
+                    let (deltas, _) = self.matmul_batch_inner(
+                        &[u_j],
+                        &v_j,
                         in_caps,
                         out_dim,
                         1,
                         None,
                         ncfg.update_shift(),
                         ActivationKind::Identity,
+                        false,
                     );
-                    for i in 0..in_caps {
+                    for (i, &delta) in deltas[0].data().iter().enumerate() {
                         let cur = logits.data()[i * classes + j];
-                        logits.data_mut()[i * classes + j] = cur.saturating_add(deltas.data()[i]);
+                        logits.data_mut()[i * classes + j] = cur.saturating_add(delta);
                     }
                 }
                 macs += u64_from(classes * in_caps * out_dim);
@@ -1546,6 +1576,234 @@ mod tests {
         let functional = spans_for(crate::EngineBackend::Functional);
         assert!(!ticked.is_empty());
         assert_eq!(ticked, functional);
+    }
+
+    /// Everything one matmul makes observable: outputs, per-image
+    /// saturations, array and activation cycles, traffic and the
+    /// tile-detail span tree.
+    type MatmulObservables = (
+        Vec<Tensor<i8>>,
+        Vec<u64>,
+        u64,
+        u64,
+        TrafficReport,
+        Vec<capsacc_telemetry::Span>,
+    );
+
+    /// Runs one matmul on a fresh accelerator, either straight from
+    /// the views or through the public closure API (which materializes
+    /// owned row-major operands from the same elements).
+    #[allow(clippy::too_many_arguments)]
+    fn run_matmul(
+        cfg: AcceleratorConfig,
+        through_closures: bool,
+        data: &[View<'_>],
+        weight: &View<'_>,
+        (m, k, n): (usize, usize, usize),
+        bias: Option<&[i32]>,
+        kind: ActivationKind,
+    ) -> MatmulObservables {
+        let mut acc = Accelerator::new(cfg);
+        acc.enable_telemetry(capsacc_telemetry::TelemetryConfig {
+            detail: SpanDetail::Tiles,
+            host_timing: false,
+        });
+        let (outs, sats) = if through_closures {
+            acc.matmul_batch(
+                data.len(),
+                &|img, mi, ki| data[img].at(mi, ki),
+                &|ki, ni| weight.at(ki, ni),
+                m,
+                k,
+                n,
+                bias,
+                6,
+                kind,
+            )
+        } else {
+            acc.matmul_batch_inner(data, weight, m, k, n, bias, 6, kind, false)
+        };
+        let spans = acc.telemetry().spans().to_vec();
+        (
+            outs,
+            sats,
+            acc.array_cycles(),
+            acc.activation_cycles(),
+            *acc.traffic(),
+            spans,
+        )
+    }
+
+    /// Every backend and host knob the view path must be invisible
+    /// under: ticked, then functional with SIMD on and off × threads 1
+    /// and 2 × forced dense and zero-skip kernels.
+    fn view_configs(base: AcceleratorConfig) -> Vec<AcceleratorConfig> {
+        use crate::{FunctionalOptions, KernelSelect, SimdMode};
+        let mut cfgs = vec![base];
+        for simd in [SimdMode::Auto, SimdMode::Scalar] {
+            for threads in [1, 2] {
+                for kernel in [KernelSelect::ForceDense, KernelSelect::ForceZeroSkip] {
+                    let mut cfg = base;
+                    cfg.backend = crate::EngineBackend::Functional;
+                    cfg.functional = FunctionalOptions {
+                        threads,
+                        simd,
+                        kernel,
+                    };
+                    cfgs.push(cfg);
+                }
+            }
+        }
+        cfgs
+    }
+
+    /// Asserts the view path equals the closure-materialized path on
+    /// every config of [`view_configs`], and that every config equals
+    /// the ticked view run.
+    fn assert_views_match_closures(
+        base: AcceleratorConfig,
+        data: &[View<'_>],
+        weight: &View<'_>,
+        shape: (usize, usize, usize),
+        bias: Option<&[i32]>,
+        kind: ActivationKind,
+    ) {
+        let want = run_matmul(base, false, data, weight, shape, bias, kind);
+        for cfg in view_configs(base) {
+            let got = run_matmul(cfg, false, data, weight, shape, bias, kind);
+            let materialized = run_matmul(cfg, true, data, weight, shape, bias, kind);
+            assert_eq!(got, materialized, "{shape:?} {:?}", cfg.functional);
+            assert_eq!(got, want, "{shape:?} {:?} vs ticked", cfg.functional);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Random operand views — affine, transposed and im2col-shaped
+        /// data; row-major, `[n][k]`-major and doubly strided weights —
+        /// read exactly the elements the closure API materializes, so
+        /// every observable is identical across the two entry points,
+        /// both backends and every host knob. Shapes cover odd `kt`,
+        /// `nt ≠ 16` tails, SIMD-width N-tiles and `k = 0`.
+        #[test]
+        fn operand_views_equal_materialized_closures(
+            m in 1usize..6,
+            k in 0usize..40,
+            n_sel in 1usize..40,
+            rows in 1usize..20,
+            cols_sel in 0usize..3,
+            batch in 1usize..4,
+            data_layout in 0usize..3,
+            weight_layout in 0usize..3,
+            zero_pct in 0u8..100,
+            relu in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            // cols_sel 0: SIMD-width tiles only; 1: a ragged 16-wide
+            // tail; 2: a narrow array.
+            let (cols, n) = match cols_sel {
+                0 => (16, 16 * (1 + n_sel % 2)),
+                1 => (16, n_sel),
+                _ => (1 + n_sel % 5, n_sel),
+            };
+            let mut cfg = AcceleratorConfig::test_4x4();
+            cfg.rows = rows;
+            cfg.cols = cols;
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let v = (state >> 56) as i8;
+                if ((state >> 40) as u8) % 100 < zero_pct { 0 } else { v }
+            };
+            let pad = 3;
+            // im2col-shaped tables: runs of `kw` taps, rows `row_w` apart.
+            let kw = 1 + seed as usize % 4;
+            let row_w = kw + 2;
+            let taps: Vec<usize> = (0..k).map(|ki| (ki / kw) * row_w + ki % kw).collect();
+            let origins: Vec<usize> = (0..m).map(|mi| mi * 2 + mi % 2).collect();
+            let image_len = 8 + (m + pad) * (k + pad) + taps.last().map_or(0, |&t| t) + 3 * m;
+            let images: Vec<Vec<i8>> = (0..batch)
+                .map(|_| (0..image_len).map(|_| next()).collect())
+                .collect();
+            let data: Vec<View<'_>> = images
+                .iter()
+                .map(|src| match data_layout {
+                    0 => View { src, origin: 5, rows: Axis::Strided(k + pad), cols: Axis::Strided(1) },
+                    1 => View { src, origin: 2, rows: Axis::Strided(1), cols: Axis::Strided(m + pad) },
+                    _ => View { src, origin: 1, rows: Axis::Table(&origins), cols: Axis::Table(&taps) },
+                })
+                .collect();
+            let wsrc: Vec<i8> = (0..4 + 2 * (k + pad) * (n + pad)).map(|_| next()).collect();
+            let weight = match weight_layout {
+                0 => View { src: &wsrc, origin: 4, rows: Axis::Strided(n + pad), cols: Axis::Strided(1) },
+                1 => View { src: &wsrc, origin: 3, rows: Axis::Strided(1), cols: Axis::Strided(k + pad) },
+                _ => View { src: &wsrc, origin: 1, rows: Axis::Strided(2 * (n + 1)), cols: Axis::Strided(2) },
+            };
+            let bias: Vec<i32> = (0..n).map(|c| i32::from(next()) * 64 + c as i32).collect();
+            let (bias, kind) = if relu {
+                (Some(bias.as_slice()), ActivationKind::Relu)
+            } else {
+                (None, ActivationKind::Identity)
+            };
+            assert_views_match_closures(cfg, &data, &weight, (m, k, n), bias, kind);
+        }
+    }
+
+    /// Views over an array taller than the exact-fold bound take the
+    /// literal `MacSerial` chain: the in-tile fold clips, and the view
+    /// path still equals the materialized closures everywhere.
+    #[test]
+    fn operand_views_equal_materialized_closures_on_tall_tiles() {
+        let (m, k, n) = (2usize, 1300usize, 3usize);
+        let mut cfg = AcceleratorConfig::test_4x4();
+        cfg.rows = 1100;
+        cfg.cols = 2;
+        cfg.weight_buffer_bytes = cfg.rows * cfg.cols;
+        assert!(cfg.rows > kernel::EXACT_FOLD_MAX_KT);
+        // `[n][k]`-major weights. The first 1100-row tile climbs to the
+        // positive clip in-array and is dragged back down, then the
+        // second tile pushes the accumulator fold over the clip.
+        let data_src: Vec<i8> = (0..k * m)
+            .map(|e| {
+                if (1060..1100).contains(&(e % k)) {
+                    -127
+                } else {
+                    127
+                }
+            })
+            .collect();
+        let data = [View {
+            src: &data_src,
+            origin: 0,
+            rows: Axis::Strided(k),
+            cols: Axis::Strided(1),
+        }];
+        let wsrc: Vec<i8> = (0..k * n).map(|e| 125 + (e % 3) as i8).collect();
+        let weight = View {
+            src: &wsrc,
+            origin: 0,
+            rows: Axis::Strided(1),
+            cols: Axis::Strided(k),
+        };
+        let (_, sats, ..) = run_matmul(
+            cfg,
+            false,
+            &data,
+            &weight,
+            (m, k, n),
+            None,
+            ActivationKind::Identity,
+        );
+        assert!(sats[0] > 0, "the accumulator fold must clip");
+        assert_views_match_closures(
+            cfg,
+            &data,
+            &weight,
+            (m, k, n),
+            None,
+            ActivationKind::Identity,
+        );
     }
 
     #[test]

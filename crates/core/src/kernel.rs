@@ -1,6 +1,16 @@
 //! Host compute kernels of the `Functional` backend: the row-level
 //! inner loops `engine::Accelerator::matmul_batch_functional` dispatches
-//! to, in scalar and explicit-SIMD (AVX2) form.
+//! to, in scalar and explicit-SIMD (AVX2) form, and the staged operand
+//! forms they read.
+//!
+//! Staging copies the matmul's borrowed operand views
+//! (`operand::View`) once, in source-contiguous order, into exactly
+//! one form per operand: the data panel as [`Panel::Wide`] `i16` rows
+//! when the SIMD kernels will read every tile ([`wide_panel`]) and as
+//! [`Panel::Narrow`] `i8` rows otherwise, with its zero count taken in
+//! the same pass; and each N-tile's weights as one [`TileWeights`]
+//! buffer holding every K-tile, pair-interleaved `i16` for the SIMD
+//! kernels or the row-major `i8` slab for the scalar ones.
 //!
 //! This module is pure host-speed machinery. Every kernel evaluates the
 //! **same** function — the ticked array's saturating fold per output
@@ -33,6 +43,7 @@
 
 use crate::accumulator::AccumulatorUnit;
 use crate::config::{FunctionalOptions, KernelSelect, SimdMode};
+use crate::operand::View;
 use crate::pe::Pe;
 
 /// Tallest tile whose in-tile fold provably cannot clip:
@@ -63,8 +74,8 @@ pub(crate) enum RowKernel {
     DenseScalar,
     /// Fixed 16-lane scalar, skipping zero data elements.
     SkipScalar,
-    /// Dynamic-width scalar (arrays with `cols ≠ 16`); always
-    /// zero-skips.
+    /// Dynamic-width scalar (N-tiles narrower than 16 columns);
+    /// zero-skips, except a single column's contiguous dot product.
     DynScalar,
     /// Literal per-step [`Pe::mac_step`] saturating chain — the only
     /// correct evaluation once a tile is tall enough to clip in-tile.
@@ -100,82 +111,186 @@ impl RowKernel {
 #[derive(Copy, Clone, Default)]
 pub(crate) struct WVec(pub [i16; 16]);
 
-/// One staged weight K-tile of the current N-tile, with its chosen
-/// kernel and (for SIMD kernels) the pair-interleaved `i16` copy
-/// `pmaddwd` consumes.
+/// The staged data panel of one matmul: `batch · m` rows of `k`
+/// elements, row-major, in the single form its kernels read.
+pub(crate) enum Panel {
+    /// Plain `i8` elements, for the scalar kernels.
+    Narrow(Vec<i8>),
+    /// Sign-extended `i16` elements, for the SIMD kernels: adjacent
+    /// element pairs become single `i32` broadcast operands. Widening
+    /// is exact, so the form can never change results.
+    Wide(Vec<i16>),
+}
+
+impl Panel {
+    /// Stages every image's `m × k` data view into one panel (`wide`
+    /// picks the form, see [`wide_panel`]) and returns it with its
+    /// count of zero elements, counted in the same pass.
+    pub(crate) fn stage(data: &[View<'_>], m: usize, k: usize, wide: bool) -> (Self, usize) {
+        if wide {
+            let (panel, zeros) = stage_rows(data, m, k);
+            (Panel::Wide(panel), zeros)
+        } else {
+            let (panel, zeros) = stage_rows(data, m, k);
+            (Panel::Narrow(panel), zeros)
+        }
+    }
+
+    /// Element count (`batch · m · k`).
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Panel::Narrow(p) => p.len(),
+            Panel::Wide(p) => p.len(),
+        }
+    }
+}
+
+fn stage_rows<T: From<i8> + Copy + Default>(
+    data: &[View<'_>],
+    m: usize,
+    k: usize,
+) -> (Vec<T>, usize) {
+    let mut panel = vec![T::default(); data.len() * m * k];
+    let zeros = data
+        .iter()
+        .zip(panel.chunks_exact_mut((m * k).max(1)))
+        .map(|(view, block)| view.copy_block(0, m, 0, k, block))
+        .sum();
+    (panel, zeros)
+}
+
+/// Whether a matmul's panel is staged [`Panel::Wide`]: only when the
+/// SIMD kernels will read every tile, which needs SIMD enabled and
+/// every tile fixed-width — `cols` of [`LANES`] dividing `n`, and
+/// tiles short enough for the exact fold.
+pub(crate) fn wide_panel(opts: FunctionalOptions, rows: usize, cols: usize, n: usize) -> bool {
+    simd_enabled(opts) && cols == LANES && n.is_multiple_of(LANES) && rows <= EXACT_FOLD_MAX_KT
+}
+
+/// One K-tile of the current N-tile, with its chosen kernel. Its
+/// weights live in the N-tile's [`TileWeights`] buffer.
 pub(crate) struct KTile {
     /// First K index covered by the tile.
     pub k0: usize,
     /// Tile height (`≤ cfg.rows`).
     pub kt: usize,
-    /// Row-major `kt × nt` weights, exactly as the ticked array loads
-    /// them.
-    pub w: Vec<i8>,
-    /// Pair-interleaved widened weights for `pmaddwd`, two aligned
-    /// vectors per row pair `p`: vector `2p + h` holds columns
-    /// `8h .. 8h + 8` as lanes `[w[2p][c], w[2p+1][c]]` (zero-padded
-    /// when `kt` is odd). Empty for non-SIMD kernels.
-    pub w_inter: Vec<WVec>,
     /// Row kernel evaluating this tile.
     pub kernel: RowKernel,
+    /// First [`WVec`] of the tile in [`TileWeights::inter`].
+    inter0: usize,
 }
 
-impl KTile {
-    /// Stages one K-tile: picks the kernel for `(kt, nt)` under the
-    /// host options and builds the interleaved copy if the SIMD path
-    /// will consume it. `sparse_data` is the matmul-wide panel
-    /// heuristic (`KernelSelect::Auto` honors it; forcing overrides
-    /// it — bit-identical either way, a speed choice only).
+/// The staged weights of one N-tile: every K-tile in one buffer, in
+/// the single form its kernels read. The buffers are reused across
+/// N-tiles, so a matmul allocates them once.
+#[derive(Default)]
+pub(crate) struct TileWeights {
+    /// Tile width.
+    pub nt: usize,
+    /// The K-tiles in tile order.
+    pub tiles: Vec<KTile>,
+    /// Scalar kernels: the `k × nt` row-major weight slab, so tile
+    /// `t` is rows `t.k0 .. t.k0 + t.kt`, exactly as the ticked array
+    /// loads it. Empty when the panel is wide.
+    narrow: Vec<i8>,
+    /// SIMD kernels: pair-interleaved widened weights for `pmaddwd`,
+    /// two aligned vectors per row pair `p` of each tile: vector
+    /// `2p + h` holds columns `8h .. 8h + 8` as lanes
+    /// `[w[2p][c], w[2p+1][c]]` (zero-padded when `kt` is odd). Empty
+    /// when the panel is narrow.
+    inter: Vec<WVec>,
+}
+
+impl TileWeights {
+    /// Stages the `k × nt` weights of the N-tile at column `n0`, split
+    /// into K-tiles of `rows`, and picks each tile's kernel.
+    /// `sparse_data` is the matmul-wide panel heuristic
+    /// (`KernelSelect::Auto` honors it; forcing overrides it —
+    /// bit-identical either way, a speed choice only). `wide` says the
+    /// panel is [`Panel::Wide`]: every tile then takes a SIMD kernel
+    /// and only the interleaved form is staged.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn stage(
-        k0: usize,
-        kt: usize,
+        &mut self,
+        weight: &View<'_>,
+        k: usize,
+        rows: usize,
+        n0: usize,
         nt: usize,
-        w: Vec<i8>,
         sparse_data: bool,
         opts: FunctionalOptions,
-        simd_ok: bool,
-    ) -> Self {
-        debug_assert_eq!(w.len(), kt * nt);
-        let kernel = if kt > EXACT_FOLD_MAX_KT {
-            RowKernel::MacSerial
-        } else if nt != LANES {
-            RowKernel::DynScalar
-        } else {
-            let skip = match opts.kernel {
-                KernelSelect::Auto => sparse_data,
-                KernelSelect::ForceDense => false,
-                KernelSelect::ForceZeroSkip => true,
+        wide: bool,
+    ) {
+        self.nt = nt;
+        self.tiles.clear();
+        let mut inter0 = 0;
+        for k0 in (0..k).step_by(rows) {
+            let kt = rows.min(k - k0);
+            let kernel = if kt > EXACT_FOLD_MAX_KT {
+                RowKernel::MacSerial
+            } else if nt != LANES {
+                RowKernel::DynScalar
+            } else {
+                let skip = match opts.kernel {
+                    KernelSelect::Auto => sparse_data,
+                    KernelSelect::ForceDense => false,
+                    KernelSelect::ForceZeroSkip => true,
+                };
+                match (skip, wide) {
+                    (false, false) => RowKernel::DenseScalar,
+                    (false, true) => RowKernel::DenseSimd,
+                    (true, false) => RowKernel::SkipScalar,
+                    (true, true) => RowKernel::SkipSimd,
+                }
             };
-            match (skip, simd_ok) {
-                (false, false) => RowKernel::DenseScalar,
-                (false, true) => RowKernel::DenseSimd,
-                (true, false) => RowKernel::SkipScalar,
-                (true, true) => RowKernel::SkipSimd,
-            }
-        };
-        let w_inter = if kernel.is_simd() {
-            let pairs = kt.div_ceil(2);
-            let mut inter = vec![WVec::default(); pairs * 2];
-            for p in 0..pairs {
-                for c in 0..LANES {
-                    let lane = &mut inter[p * 2 + c / 8].0;
-                    lane[2 * (c % 8)] = w[2 * p * LANES + c] as i16;
-                    if 2 * p + 1 < kt {
-                        lane[2 * (c % 8) + 1] = w[(2 * p + 1) * LANES + c] as i16;
+            debug_assert_eq!(kernel.is_simd(), wide, "one weight form per N-tile");
+            self.tiles.push(KTile {
+                k0,
+                kt,
+                kernel,
+                inter0,
+            });
+            inter0 += kt.div_ceil(2) * 2;
+        }
+        self.narrow.clear();
+        self.inter.clear();
+        if wide {
+            self.inter.resize(inter0, WVec::default());
+            let mut tile = vec![0i8; rows.min(k) * nt];
+            for t in &self.tiles {
+                let tile = &mut tile[..t.kt * nt];
+                weight.copy_block(t.k0, t.kt, n0, nt, tile);
+                let inter = &mut self.inter[t.inter0..t.inter0 + t.kt.div_ceil(2) * 2];
+                for (halves, pair) in inter.chunks_exact_mut(2).zip(tile.chunks(2 * LANES)) {
+                    let (even, odd) = pair.split_at(LANES);
+                    for (h, lanes) in halves.iter_mut().enumerate() {
+                        let cols = 8 * h..8 * h + 8;
+                        for (lane, &v) in lanes.0.chunks_exact_mut(2).zip(&even[cols.clone()]) {
+                            lane[0] = i16::from(v);
+                        }
+                        if !odd.is_empty() {
+                            for (lane, &v) in lanes.0.chunks_exact_mut(2).zip(&odd[cols]) {
+                                lane[1] = i16::from(v);
+                            }
+                        }
                     }
                 }
             }
-            inter
         } else {
-            Vec::new()
-        };
-        KTile {
-            k0,
-            kt,
-            w,
-            w_inter,
-            kernel,
+            self.narrow.resize(k * nt, 0);
+            weight.copy_block(0, k, n0, nt, &mut self.narrow);
         }
+    }
+
+    /// Tile `t`'s row-major `kt × nt` weights (scalar kernels).
+    fn narrow(&self, t: &KTile) -> &[i8] {
+        &self.narrow[t.k0 * self.nt..(t.k0 + t.kt) * self.nt]
+    }
+
+    /// Tile `t`'s interleaved weights (SIMD kernels).
+    #[cfg(target_arch = "x86_64")]
+    fn inter(&self, t: &KTile) -> &[WVec] {
+        &self.inter[t.inter0..t.inter0 + t.kt.div_ceil(2) * 2]
     }
 }
 
@@ -245,37 +360,44 @@ fn fold_scalar(acc: &mut i64, psum: i64, events: &mut u64) {
 /// independent, each row's fold chain runs here in full, so the
 /// per-element fold order — and therefore every simulated result — is
 /// identical for any partition.
-#[allow(clippy::too_many_arguments)]
+///
+/// # Panics
+///
+/// Panics if a [`Panel::Wide`] panel reaches a host without AVX2 —
+/// [`wide_panel`] only selects it when the SIMD kernels can run.
 pub(crate) fn process_rows(
     k: usize,
-    nt: usize,
-    tiles: &[KTile],
-    panel: &[i8],
-    panel_wide: &[i16],
+    w: &TileWeights,
+    panel: &Panel,
     ri0: usize,
     nrows: usize,
     acc: &mut [i64],
     row_events: &mut [u64],
 ) {
+    let nt = w.nt;
     debug_assert_eq!(acc.len(), nrows * nt);
     debug_assert_eq!(row_events.len(), nrows);
-    let _ = panel_wide; // consumed only by the x86_64 SIMD dispatch
-    let all_fixed = nt == LANES && tiles.iter().all(|t| t.kernel.is_fixed());
-    #[cfg(target_arch = "x86_64")]
-    if all_fixed
-        && tiles.iter().any(|t| t.kernel.is_simd())
-        && avx2::sweep_rows(k, tiles, panel_wide, ri0, nrows, acc, row_events)
-    {
-        return;
-    }
-    if all_fixed {
-        rows_fixed_scalar(k, tiles, panel, ri0, nrows, acc, row_events);
+    let panel = match panel {
+        Panel::Wide(wide) => {
+            #[cfg(target_arch = "x86_64")]
+            if avx2::sweep_rows(k, w, wide, ri0, nrows, acc, row_events) {
+                return;
+            }
+            panic!(
+                "a wide panel ({} elements) is staged only for hosts that run the SIMD kernels",
+                wide.len()
+            );
+        }
+        Panel::Narrow(panel) => panel,
+    };
+    if nt == LANES && w.tiles.iter().all(|t| t.kernel.is_fixed()) {
+        rows_fixed_scalar(k, w, panel, ri0, nrows, acc, row_events);
         return;
     }
     let mut scratch = vec![0i32; nt];
     for r in 0..nrows {
         let row = &panel[(ri0 + r) * k..(ri0 + r) * k + k];
-        row_events[r] = row_general(nt, tiles, row, &mut acc[r * nt..(r + 1) * nt], &mut scratch);
+        row_events[r] = row_general(w, row, &mut acc[r * nt..(r + 1) * nt], &mut scratch);
     }
 }
 
@@ -286,25 +408,25 @@ pub(crate) fn process_rows(
 /// the in-tile dot product is exact.
 fn rows_fixed_scalar(
     k: usize,
-    tiles: &[KTile],
+    w: &TileWeights,
     panel: &[i8],
     ri0: usize,
     nrows: usize,
     acc: &mut [i64],
     row_events: &mut [u64],
 ) {
-    let all_dense = tiles.iter().all(|t| !t.kernel.skips_zeros());
+    let all_dense = w.tiles.iter().all(|t| !t.kernel.skips_zeros());
     let mut r = 0;
     while all_dense && r + ROW_BLOCK <= nrows {
         let mut accs = [[0i64; LANES]; ROW_BLOCK];
         let mut evs = [0u64; ROW_BLOCK];
-        for t in tiles {
+        for t in &w.tiles {
             let mut lanes = [[0i32; LANES]; ROW_BLOCK];
-            for (row_idx, wrow) in t.w.chunks_exact(LANES).enumerate() {
+            for (row_idx, wrow) in w.narrow(t).chunks_exact(LANES).enumerate() {
                 for (j, lane) in lanes.iter_mut().enumerate() {
-                    let d = panel[(ri0 + r + j) * k + t.k0 + row_idx] as i32;
-                    for (p, &w) in lane.iter_mut().zip(wrow) {
-                        *p += d * w as i32;
+                    let d = i32::from(panel[(ri0 + r + j) * k + t.k0 + row_idx]);
+                    for (p, &wv) in lane.iter_mut().zip(wrow) {
+                        *p += d * i32::from(wv);
                     }
                 }
             }
@@ -324,13 +446,13 @@ fn rows_fixed_scalar(
         let row = &panel[(ri0 + r) * k..(ri0 + r) * k + k];
         let mut accs = [0i64; LANES];
         let mut ev = 0u64;
-        for t in tiles {
+        for t in &w.tiles {
             let drow = &row[t.k0..t.k0 + t.kt];
             let mut lane = [0i32; LANES];
-            for (&d, wrow) in drow.iter().zip(t.w.chunks_exact(LANES)) {
+            for (&d, wrow) in drow.iter().zip(w.narrow(t).chunks_exact(LANES)) {
                 if d != 0 {
-                    for (p, &w) in lane.iter_mut().zip(wrow) {
-                        *p += d as i32 * w as i32;
+                    for (p, &wv) in lane.iter_mut().zip(wrow) {
+                        *p += i32::from(d) * i32::from(wv);
                     }
                 }
             }
@@ -349,36 +471,40 @@ fn rows_fixed_scalar(
 /// that shares an N-tile with them (evaluated by the exact skip loop —
 /// bit-identical to its fixed kernel). Accumulators live in the `acc`
 /// slice; `scratch` holds one tile's psums.
-fn row_general(
-    nt: usize,
-    tiles: &[KTile],
-    row: &[i8],
-    acc: &mut [i64],
-    scratch: &mut [i32],
-) -> u64 {
+fn row_general(w: &TileWeights, row: &[i8], acc: &mut [i64], scratch: &mut [i32]) -> u64 {
+    let nt = w.nt;
     let mut ev = 0u64;
-    for t in tiles {
+    for t in &w.tiles {
         let drow = &row[t.k0..t.k0 + t.kt];
+        let tw = w.narrow(t);
         if t.kernel == RowKernel::MacSerial {
             // Tall tile: the in-tile fold may clip, so run the literal
             // ticked chain — `Pe::mac_step` per element, north→south.
             for (c, a) in acc.iter_mut().enumerate() {
                 let mut psum = 0i64;
                 for (r, &d) in drow.iter().enumerate() {
-                    let w = t.w[r * nt + c];
-                    if d != 0 && w != 0 {
-                        psum = Pe::mac_step(psum, d, w);
+                    let wv = tw[r * nt + c];
+                    if d != 0 && wv != 0 {
+                        psum = Pe::mac_step(psum, d, wv);
                     }
                 }
                 fold_scalar(a, psum, &mut ev);
             }
+        } else if nt == 1 {
+            // One output column: a contiguous (and exact) dot product.
+            let psum: i32 = drow
+                .iter()
+                .zip(tw)
+                .map(|(&d, &wv)| i32::from(d) * i32::from(wv))
+                .sum();
+            fold_scalar(&mut acc[0], i64::from(psum), &mut ev);
         } else {
             let psums = &mut scratch[..nt];
             psums.fill(0);
-            for (&d, wrow) in drow.iter().zip(t.w.chunks_exact(nt)) {
+            for (&d, wrow) in drow.iter().zip(tw.chunks_exact(nt)) {
                 if d != 0 {
-                    for (p, &w) in psums.iter_mut().zip(wrow) {
-                        *p += d as i32 * w as i32;
+                    for (p, &wv) in psums.iter_mut().zip(wrow) {
+                        *p += i32::from(d) * i32::from(wv);
                     }
                 }
             }
@@ -400,7 +526,7 @@ fn row_general(
 // lint:allow(unsafe-containment, the crate-level deny is re-allowed only here: runtime-feature-gated SIMD intrinsics with SAFETY-commented call sites)
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{KTile, WVec, LANES};
+    use super::{KTile, TileWeights, WVec, LANES};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_cmpeq_epi32, _mm256_load_si256, _mm256_loadu_si256,
         _mm256_madd_epi16, _mm256_max_epi32, _mm256_min_epi32, _mm256_set1_epi32,
@@ -421,11 +547,9 @@ mod avx2 {
 
     /// Safe entry point: sweeps rows `ri0 .. ri0 + nrows` through the
     /// AVX2 kernels, returning `false` without touching anything if
-    /// the host lacks `avx2` or the widened panel is absent (the
-    /// caller then takes the scalar path — selection normally prevents
-    /// this, but the fallback keeps the dispatch total).
+    /// the host lacks `avx2`.
     ///
-    /// `panel_wide` is the sign-extended `i16` copy of the data panel:
+    /// `panel_wide` is the sign-extended `i16` data panel:
     /// each adjacent element pair is then one little-endian `i32`, so
     /// the kernel broadcasts a data pair with a single memory-operand
     /// `vpbroadcastd` instead of a scalar widen/shift/or chain.
@@ -439,16 +563,13 @@ mod avx2 {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn sweep_rows(
         k: usize,
-        tiles: &[KTile],
+        w: &TileWeights,
         panel_wide: &[i16],
         ri0: usize,
         nrows: usize,
         acc: &mut [i64],
         row_events: &mut [u64],
     ) -> bool {
-        if panel_wide.is_empty() && k > 0 {
-            return false;
-        }
         if !std::arch::is_x86_feature_detected!("avx2") {
             return false;
         }
@@ -460,14 +581,25 @@ mod avx2 {
         // a 4-row block's accumulators, psums and event counts resident
         // across every K-tile — the per-tile fold never touches memory.
         // Same fold per element in the same tile order: bit-identical.
-        if tiles.iter().all(|t| !t.kernel.skips_zeros()) && avx512_available() {
+        if w.tiles.iter().all(|t| !t.kernel.skips_zeros()) && avx512_available() {
             // SAFETY: the `avx512*`/`avx512vnni` features were
             // runtime-detected just above.
-            unsafe { sweep_dense_512(k, tiles, panel_wide, ri0, nrows, &mut acc32, &mut ev32) };
+            unsafe { sweep_dense_512(k, w, panel_wide, ri0, nrows, &mut acc32, &mut ev32) };
         } else {
-            for t in tiles {
+            for t in &w.tiles {
                 // SAFETY: `avx2` was runtime-detected just above.
-                unsafe { tile_sweep(t, panel_wide, k, ri0, nrows, &mut acc32, &mut ev32) };
+                unsafe {
+                    tile_sweep(
+                        t,
+                        w.inter(t),
+                        panel_wide,
+                        k,
+                        ri0,
+                        nrows,
+                        &mut acc32,
+                        &mut ev32,
+                    )
+                };
             }
         }
         for r in 0..nrows {
@@ -515,7 +647,7 @@ mod avx2 {
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     unsafe fn sweep_dense_512(
         k: usize,
-        tiles: &[KTile],
+        w: &TileWeights,
         panel_wide: &[i16],
         ri0: usize,
         nrows: usize,
@@ -530,11 +662,11 @@ mod avx2 {
         while r + SIMD_ROW_BLOCK <= nrows {
             let mut acc = [zero; SIMD_ROW_BLOCK];
             let mut ev = [zero; SIMD_ROW_BLOCK];
-            for t in tiles {
+            for t in &w.tiles {
                 let base = (ri0 + r) * k + t.k0;
                 let blk = &panel_wide[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
                 let wide = blk.as_ptr();
-                let inter: *const i16 = t.w_inter.as_ptr().cast();
+                let inter: *const i16 = w.inter(t).as_ptr().cast();
                 let mut psum = [zero; SIMD_ROW_BLOCK];
                 let full = t.kt / 2;
                 for p in 0..full {
@@ -572,11 +704,11 @@ mod avx2 {
         while r < nrows {
             let mut acc = zero;
             let mut ev = zero;
-            for t in tiles {
+            for t in &w.tiles {
                 let base = (ri0 + r) * k + t.k0;
                 let drow = &panel_wide[base..base + t.kt];
                 let wide = drow.as_ptr();
-                let inter: *const i16 = t.w_inter.as_ptr().cast();
+                let inter: *const i16 = w.inter(t).as_ptr().cast();
                 let mut psum = zero;
                 let full = t.kt / 2;
                 for p in 0..full {
@@ -603,10 +735,13 @@ mod avx2 {
 
     /// # Safety
     ///
-    /// Caller must have runtime-verified `avx2`.
+    /// Caller must have runtime-verified `avx2`; `inter` must be tile
+    /// `t`'s interleaved weights ([`TileWeights::inter`]).
     #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
     unsafe fn tile_sweep(
         t: &KTile,
+        inter: &[WVec],
         panel_wide: &[i16],
         k: usize,
         ri0: usize,
@@ -630,7 +765,7 @@ mod avx2 {
             while r + SIMD_ROW_BLOCK <= nrows {
                 let base = (ri0 + r) * k + t.k0;
                 let blk = &panel_wide[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
-                let psums = tile_psums_block(t, blk.as_ptr(), k);
+                let psums = tile_psums_block(t, inter, blk.as_ptr(), k);
                 for (j, &(psum0, psum1)) in psums.iter().enumerate() {
                     fold_row(acc32, ev32, r + j, psum0, psum1, vmax, vmin, ones);
                 }
@@ -641,9 +776,9 @@ mod avx2 {
             let base = (ri0 + r) * k + t.k0;
             let drow = &panel_wide[base..base + t.kt];
             let (psum0, psum1) = if skip {
-                tile_psums::<true>(t, drow)
+                tile_psums::<true>(t, inter, drow)
             } else {
-                tile_psums::<false>(t, drow)
+                tile_psums::<false>(t, inter, drow)
             };
             fold_row(acc32, ev32, r, psum0, psum1, vmax, vmin, ones);
             r += 1;
@@ -732,18 +867,19 @@ mod avx2 {
     ///
     /// Caller must have runtime-verified `avx2`; `wide` must be valid
     /// for reads through `(SIMD_ROW_BLOCK - 1) * stride + t.kt`
-    /// elements.
+    /// elements, and `inter` must be tile `t`'s interleaved weights.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn tile_psums_block(
         t: &KTile,
+        inter: &[WVec],
         wide: *const i16,
         stride: usize,
     ) -> [(__m256i, __m256i); SIMD_ROW_BLOCK] {
         let zero = _mm256_setzero_si256();
         let mut accs = [(zero, zero); SIMD_ROW_BLOCK];
         let full = t.kt / 2;
-        let inter = t.w_inter.as_ptr();
+        let inter = inter.as_ptr();
         for p in 0..full {
             let w0 = _mm256_load_si256(inter.add(2 * p).cast());
             let w1 = _mm256_load_si256(inter.add(2 * p + 1).cast());
@@ -781,14 +917,19 @@ mod avx2 {
     /// # Safety
     ///
     /// Caller must have runtime-verified `avx2`; `drow` must hold the
-    /// row's full widened tile slice (`t.kt` elements).
+    /// row's full widened tile slice (`t.kt` elements), and `inter`
+    /// must be tile `t`'s interleaved weights.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile_psums<const SKIP: bool>(t: &KTile, drow: &[i16]) -> (__m256i, __m256i) {
+    unsafe fn tile_psums<const SKIP: bool>(
+        t: &KTile,
+        inter: &[WVec],
+        drow: &[i16],
+    ) -> (__m256i, __m256i) {
         let zero = _mm256_setzero_si256();
         let mut chains = [(zero, zero); 4];
         let full = t.kt / 2;
-        let inter = t.w_inter.as_ptr();
+        let inter = inter.as_ptr();
         let wide = drow.as_ptr();
         let mut p = 0;
         while p + 4 <= full {
@@ -856,37 +997,40 @@ mod tests {
         }
     }
 
+    /// Stages `w` (row-major `k × nt`) as one N-tile of `rows`-high
+    /// K-tiles.
+    fn staged(w: &[i8], k: usize, nt: usize, rows: usize, sparse: bool, wide: bool) -> TileWeights {
+        let mut tw = TileWeights::default();
+        let opts = FunctionalOptions::default();
+        tw.stage(&View::row_major(w, nt), k, rows, 0, nt, sparse, opts, wide);
+        tw
+    }
+
     /// Pair-interleaved staging reads back as `[w[2p][c], w[2p+1][c]]`
-    /// with a zeroed partner on the odd tail.
+    /// with a zeroed partner on each odd tile's tail, every K-tile of
+    /// the N-tile in one buffer.
     #[test]
     fn interleaved_weights_pair_rows_per_column() {
-        let (kt, nt) = (5, LANES);
-        let w: Vec<i8> = (0..kt * nt).map(|i| (i as i8).wrapping_mul(3)).collect();
-        let t = KTile::stage(
-            0,
-            kt,
-            nt,
-            w.clone(),
-            false,
-            FunctionalOptions {
-                simd: SimdMode::Auto,
-                ..FunctionalOptions::default()
-            },
-            true,
-        );
-        assert!(t.kernel.is_simd());
-        assert_eq!(t.w_inter.len(), 3 * 2);
+        let (k, rows, nt) = (8, 5, LANES);
+        let w: Vec<i8> = (0..k * nt).map(|i| (i as i8).wrapping_mul(3)).collect();
+        let tw = staged(&w, k, nt, rows, false, true);
+        assert!(tw.tiles.iter().all(|t| t.kernel.is_simd()));
+        assert!(tw.narrow.is_empty(), "a wide N-tile stages one form only");
+        assert_eq!(tw.inter.len(), (3 + 2) * 2);
         assert_eq!(std::mem::align_of::<WVec>(), 32);
-        for p in 0..3 {
-            for c in 0..LANES {
-                let lane = &t.w_inter[p * 2 + c / 8].0;
-                assert_eq!(lane[2 * (c % 8)], w[2 * p * LANES + c] as i16);
-                let partner = if 2 * p + 1 < kt {
-                    w[(2 * p + 1) * LANES + c] as i16
-                } else {
-                    0
-                };
-                assert_eq!(lane[2 * (c % 8) + 1], partner);
+        for t in &tw.tiles {
+            for p in 0..t.kt.div_ceil(2) {
+                for c in 0..LANES {
+                    let lane = &tw.inter[t.inter0 + p * 2 + c / 8].0;
+                    let row = t.k0 + 2 * p;
+                    assert_eq!(lane[2 * (c % 8)], i16::from(w[row * LANES + c]));
+                    let partner = if 2 * p + 1 < t.kt {
+                        i16::from(w[(row + 1) * LANES + c])
+                    } else {
+                        0
+                    };
+                    assert_eq!(lane[2 * (c % 8) + 1], partner);
+                }
             }
         }
     }
@@ -900,7 +1044,6 @@ mod tests {
         if !simd_available() {
             return; // scalar-only host: the fallback is the only path
         }
-        let opts_simd = FunctionalOptions::default();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state = state
@@ -909,49 +1052,47 @@ mod tests {
             (state >> 56) as i8
         };
         // Adversarial shape: tall-ish tiles of ±127 blocks so K-tile
-        // folds clip, plus a random tile and an odd-height tail tile.
-        let k = 1023 + 1023 + 777 + 5;
+        // folds clip, then a random odd-height tail tile.
+        let rows = 1023;
+        let k = 2 * rows + 777;
         let row: Vec<i8> = (0..k)
-            .map(|i| if i < 2046 { 127 } else { next() })
+            .map(|i| if i < 2 * rows { 127 } else { next() })
             .collect();
-        let mut tiles = Vec::new();
-        let mut k0 = 0;
-        for kt in [1023usize, 1023, 777, 5] {
-            let w: Vec<i8> = (0..kt * LANES)
-                .map(|i| {
-                    if k0 < 2046 {
-                        127
-                    } else {
-                        next().wrapping_sub(i as i8)
-                    }
-                })
-                .collect();
-            tiles.push(KTile::stage(k0, kt, LANES, w, k0 % 2 == 0, opts_simd, true));
-            k0 += kt;
+        let w: Vec<i8> = (0..k * LANES)
+            .map(|i| {
+                if i < 2 * rows * LANES {
+                    127
+                } else {
+                    next().wrapping_sub(i as i8)
+                }
+            })
+            .collect();
+        let wide: Vec<i16> = row.iter().map(|&d| i16::from(d)).collect();
+        for sparse in [false, true] {
+            let simd = staged(&w, k, LANES, rows, sparse, true);
+            assert!(simd.tiles.iter().all(|t| t.kernel.is_simd()));
+            let mut acc_simd = vec![0i64; LANES];
+            let mut ev_rows = [0u64; 1];
+            assert!(avx2::sweep_rows(
+                k,
+                &simd,
+                &wide,
+                0,
+                1,
+                &mut acc_simd,
+                &mut ev_rows
+            ));
+            let ev_simd = ev_rows[0];
+
+            let scalar = staged(&w, k, LANES, rows, sparse, false);
+            let mut acc_ref = vec![0i64; LANES];
+            let mut scratch = vec![0i32; LANES];
+            let ev_ref = row_general(&scalar, &row, &mut acc_ref, &mut scratch);
+
+            assert_eq!(acc_simd, acc_ref);
+            assert_eq!(ev_simd, ev_ref);
+            assert!(ev_simd > 0, "adversarial row must actually clip");
         }
-        assert!(tiles.iter().all(|t| t.kernel.is_simd()));
-
-        let wide: Vec<i16> = row.iter().map(|&d| d as i16).collect();
-        let mut acc_simd = vec![0i64; LANES];
-        let mut ev_rows = [0u64; 1];
-        assert!(avx2::sweep_rows(
-            k,
-            &tiles,
-            &wide,
-            0,
-            1,
-            &mut acc_simd,
-            &mut ev_rows
-        ));
-        let ev_simd = ev_rows[0];
-
-        let mut acc_ref = vec![0i64; LANES];
-        let mut scratch = vec![0i32; LANES];
-        let ev_ref = row_general(LANES, &tiles, &row, &mut acc_ref, &mut scratch);
-
-        assert_eq!(acc_simd, acc_ref);
-        assert_eq!(ev_simd, ev_ref);
-        assert!(ev_simd > 0, "adversarial row must actually clip");
     }
 
     /// Explicit thread requests always split (min'd with the row

@@ -66,6 +66,7 @@ mod config;
 pub mod engine;
 mod kernel;
 pub mod mapping;
+mod operand;
 mod pe;
 mod systolic;
 pub mod timing;
