@@ -614,12 +614,13 @@ impl Accelerator {
     ///   (`operand::View`) over the tensors that hold them; the ticked
     ///   path reads them element by element, this path copies them.
     ///   The data panel is staged once per matmul, row-major, in the one
-    ///   form its kernels read (`i16` for the SIMD kernels, `i8`
-    ///   otherwise), and each N-tile's K-tiles are staged into one
-    ///   reused buffer. Staging walks each view in source-contiguous
-    ///   order; element values, and so results, cannot depend on that
-    ///   order. Traffic is charged per tile from the same formulas
-    ///   either way.
+    ///   form its kernels read (`i16` when some N-tile runs the SIMD
+    ///   kernels, which a ragged tail N-tile then reads through the
+    ///   scalar path; `i8` otherwise), and each N-tile's K-tiles are
+    ///   staged into one reused buffer. Staging walks each view in
+    ///   source-contiguous order; element values, and so results,
+    ///   cannot depend on that order. Traffic is charged per tile from
+    ///   the same formulas either way.
     #[allow(clippy::too_many_arguments)]
     fn matmul_batch_functional(
         &mut self,
@@ -644,7 +645,7 @@ impl Accelerator {
         let (mut stage_ns, mut sweep_ns) = (0u64, 0u64);
         let mut tile_seq = 0u64;
 
-        let wide = kernel::wide_panel(opts, rows, cols, n);
+        let wide = kernel::wide_panel(opts, rows, cols, k, n);
         let (panel, zeros) = kernel::Panel::stage(data, m, k, wide);
         // A zero data element contributes +0 to an in-range psum, so
         // the fixed-width kernels may skip it: pick per matmul between
@@ -1796,6 +1797,28 @@ mod tests {
             ActivationKind::Identity,
         );
         assert!(sats[0] > 0, "the accumulator fold must clip");
+        assert_views_match_closures(
+            cfg,
+            &data,
+            &weight,
+            (m, k, n),
+            None,
+            ActivationKind::Identity,
+        );
+
+        // The same tall array 16 columns wide over a `k` short enough
+        // for the exact fold: the full N-tile runs SIMD and the ragged
+        // tail reads the wide panel through the general path.
+        let (k, n) = (500usize, 20usize);
+        cfg.cols = 16;
+        cfg.weight_buffer_bytes = cfg.rows * cfg.cols;
+        let wsrc: Vec<i8> = (0..k * n).map(|e| (e % 251) as i8).collect();
+        let weight = View {
+            src: &wsrc,
+            origin: 0,
+            rows: Axis::Strided(n),
+            cols: Axis::Strided(1),
+        };
         assert_views_match_closures(
             cfg,
             &data,

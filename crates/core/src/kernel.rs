@@ -6,11 +6,13 @@
 //! Staging copies the matmul's borrowed operand views
 //! (`operand::View`) once, in source-contiguous order, into exactly
 //! one form per operand: the data panel as [`Panel::Wide`] `i16` rows
-//! when the SIMD kernels will read every tile ([`wide_panel`]) and as
+//! when the SIMD kernels will read some N-tile ([`wide_panel`]) and as
 //! [`Panel::Narrow`] `i8` rows otherwise, with its zero count taken in
 //! the same pass; and each N-tile's weights as one [`TileWeights`]
 //! buffer holding every K-tile, pair-interleaved `i16` for the SIMD
-//! kernels or the row-major `i8` slab for the scalar ones.
+//! kernels or the row-major `i8` slab for the scalar ones. A ragged
+//! last N-tile beside SIMD ones reads the wide panel through the
+//! scalar general path (widening is exact).
 //!
 //! This module is pure host-speed machinery. Every kernel evaluates the
 //! **same** function — the ticked array's saturating fold per output
@@ -159,12 +161,20 @@ fn stage_rows<T: From<i8> + Copy + Default>(
     (panel, zeros)
 }
 
-/// Whether a matmul's panel is staged [`Panel::Wide`]: only when the
-/// SIMD kernels will read every tile, which needs SIMD enabled and
-/// every tile fixed-width — `cols` of [`LANES`] dividing `n`, and
-/// tiles short enough for the exact fold.
-pub(crate) fn wide_panel(opts: FunctionalOptions, rows: usize, cols: usize, n: usize) -> bool {
-    simd_enabled(opts) && cols == LANES && n.is_multiple_of(LANES) && rows <= EXACT_FOLD_MAX_KT
+/// Whether a matmul's `m × k` · `k × n` panel is staged
+/// [`Panel::Wide`]: whenever the SIMD kernels will read some N-tile,
+/// which needs SIMD enabled, an array of [`LANES`] columns, at least
+/// one full-width N-tile, and K-tiles short enough for the exact fold
+/// (`min(rows, k)` bounds every tile's height). A ragged last N-tile
+/// then reads the same wide panel through the scalar general path.
+pub(crate) fn wide_panel(
+    opts: FunctionalOptions,
+    rows: usize,
+    cols: usize,
+    k: usize,
+    n: usize,
+) -> bool {
+    simd_enabled(opts) && cols == LANES && n >= LANES && rows.min(k) <= EXACT_FOLD_MAX_KT
 }
 
 /// One K-tile of the current N-tile, with its chosen kernel. Its
@@ -187,17 +197,20 @@ pub(crate) struct KTile {
 pub(crate) struct TileWeights {
     /// Tile width.
     pub nt: usize,
+    /// Whether every K-tile runs a SIMD kernel (and so only the
+    /// interleaved form is staged).
+    simd: bool,
     /// The K-tiles in tile order.
     pub tiles: Vec<KTile>,
     /// Scalar kernels: the `k × nt` row-major weight slab, so tile
     /// `t` is rows `t.k0 .. t.k0 + t.kt`, exactly as the ticked array
-    /// loads it. Empty when the panel is wide.
+    /// loads it. Empty when the N-tile runs SIMD.
     narrow: Vec<i8>,
     /// SIMD kernels: pair-interleaved widened weights for `pmaddwd`,
     /// two aligned vectors per row pair `p` of each tile: vector
     /// `2p + h` holds columns `8h .. 8h + 8` as lanes
     /// `[w[2p][c], w[2p+1][c]]` (zero-padded when `kt` is odd). Empty
-    /// when the panel is narrow.
+    /// when the N-tile runs the scalar kernels.
     inter: Vec<WVec>,
 }
 
@@ -207,8 +220,9 @@ impl TileWeights {
     /// `sparse_data` is the matmul-wide panel heuristic
     /// (`KernelSelect::Auto` honors it; forcing overrides it —
     /// bit-identical either way, a speed choice only). `wide` says the
-    /// panel is [`Panel::Wide`]: every tile then takes a SIMD kernel
-    /// and only the interleaved form is staged.
+    /// panel is [`Panel::Wide`]: a full-width N-tile then takes the
+    /// SIMD kernels and stages only the interleaved form; a ragged one
+    /// stages the `i8` slab for the general path.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn stage(
         &mut self,
@@ -222,6 +236,7 @@ impl TileWeights {
         wide: bool,
     ) {
         self.nt = nt;
+        self.simd = wide && nt == LANES;
         self.tiles.clear();
         let mut inter0 = 0;
         for k0 in (0..k).step_by(rows) {
@@ -236,14 +251,14 @@ impl TileWeights {
                     KernelSelect::ForceDense => false,
                     KernelSelect::ForceZeroSkip => true,
                 };
-                match (skip, wide) {
+                match (skip, self.simd) {
                     (false, false) => RowKernel::DenseScalar,
                     (false, true) => RowKernel::DenseSimd,
                     (true, false) => RowKernel::SkipScalar,
                     (true, true) => RowKernel::SkipSimd,
                 }
             };
-            debug_assert_eq!(kernel.is_simd(), wide, "one weight form per N-tile");
+            debug_assert_eq!(kernel.is_simd(), self.simd, "one weight form per N-tile");
             self.tiles.push(KTile {
                 k0,
                 kt,
@@ -254,7 +269,7 @@ impl TileWeights {
         }
         self.narrow.clear();
         self.inter.clear();
-        if wide {
+        if self.simd {
             self.inter.resize(inter0, WVec::default());
             let mut tile = vec![0i8; rows.min(k) * nt];
             for t in &self.tiles {
@@ -363,8 +378,9 @@ fn fold_scalar(acc: &mut i64, psum: i64, events: &mut u64) {
 ///
 /// # Panics
 ///
-/// Panics if a [`Panel::Wide`] panel reaches a host without AVX2 —
-/// [`wide_panel`] only selects it when the SIMD kernels can run.
+/// Panics if a SIMD N-tile reaches a host without AVX2 —
+/// [`wide_panel`] only selects the wide form when the SIMD kernels can
+/// run.
 pub(crate) fn process_rows(
     k: usize,
     w: &TileWeights,
@@ -377,8 +393,8 @@ pub(crate) fn process_rows(
     let nt = w.nt;
     debug_assert_eq!(acc.len(), nrows * nt);
     debug_assert_eq!(row_events.len(), nrows);
-    let panel = match panel {
-        Panel::Wide(wide) => {
+    match panel {
+        Panel::Wide(wide) if w.simd => {
             #[cfg(target_arch = "x86_64")]
             if avx2::sweep_rows(k, w, wide, ri0, nrows, acc, row_events) {
                 return;
@@ -388,12 +404,44 @@ pub(crate) fn process_rows(
                 wide.len()
             );
         }
-        Panel::Narrow(panel) => panel,
-    };
-    if nt == LANES && w.tiles.iter().all(|t| t.kernel.is_fixed()) {
-        rows_fixed_scalar(k, w, panel, ri0, nrows, acc, row_events);
-        return;
+        Panel::Wide(wide) => rows_general(k, w, wide, ri0, nrows, acc, row_events),
+        Panel::Narrow(panel) if nt == LANES && w.tiles.iter().all(|t| t.kernel.is_fixed()) => {
+            rows_fixed_scalar(k, w, panel, ri0, nrows, acc, row_events);
+        }
+        Panel::Narrow(panel) => rows_general(k, w, panel, ri0, nrows, acc, row_events),
     }
+}
+
+/// A staged data-panel element: an `i8` operand, or its exact `i16`
+/// widening.
+trait PanelElem: Copy + Into<i32> {
+    /// The element as the `i8` operand the array holds.
+    fn operand(self) -> i8;
+}
+
+impl PanelElem for i8 {
+    fn operand(self) -> i8 {
+        self
+    }
+}
+
+impl PanelElem for i16 {
+    fn operand(self) -> i8 {
+        i8::try_from(self).expect("a wide panel holds widened i8 operands")
+    }
+}
+
+/// Sweeps rows one at a time through [`row_general`].
+fn rows_general<T: PanelElem>(
+    k: usize,
+    w: &TileWeights,
+    panel: &[T],
+    ri0: usize,
+    nrows: usize,
+    acc: &mut [i64],
+    row_events: &mut [u64],
+) {
+    let nt = w.nt;
     let mut scratch = vec![0i32; nt];
     for r in 0..nrows {
         let row = &panel[(ri0 + r) * k..(ri0 + r) * k + k];
@@ -471,7 +519,12 @@ fn rows_fixed_scalar(
 /// that shares an N-tile with them (evaluated by the exact skip loop —
 /// bit-identical to its fixed kernel). Accumulators live in the `acc`
 /// slice; `scratch` holds one tile's psums.
-fn row_general(w: &TileWeights, row: &[i8], acc: &mut [i64], scratch: &mut [i32]) -> u64 {
+fn row_general<T: PanelElem>(
+    w: &TileWeights,
+    row: &[T],
+    acc: &mut [i64],
+    scratch: &mut [i32],
+) -> u64 {
     let nt = w.nt;
     let mut ev = 0u64;
     for t in &w.tiles {
@@ -484,6 +537,7 @@ fn row_general(w: &TileWeights, row: &[i8], acc: &mut [i64], scratch: &mut [i32]
                 let mut psum = 0i64;
                 for (r, &d) in drow.iter().enumerate() {
                     let wv = tw[r * nt + c];
+                    let d = d.operand();
                     if d != 0 && wv != 0 {
                         psum = Pe::mac_step(psum, d, wv);
                     }
@@ -491,20 +545,23 @@ fn row_general(w: &TileWeights, row: &[i8], acc: &mut [i64], scratch: &mut [i32]
                 fold_scalar(a, psum, &mut ev);
             }
         } else if nt == 1 {
-            // One output column: a contiguous (and exact) dot product.
+            // One output column (routing's Update matmul): a contiguous
+            // dot product, which vectorizes where the skip loop below
+            // does not. Exact, so bit-identical to that loop.
             let psum: i32 = drow
                 .iter()
                 .zip(tw)
-                .map(|(&d, &wv)| i32::from(d) * i32::from(wv))
+                .map(|(&d, &wv)| Into::<i32>::into(d) * i32::from(wv))
                 .sum();
             fold_scalar(&mut acc[0], i64::from(psum), &mut ev);
         } else {
             let psums = &mut scratch[..nt];
             psums.fill(0);
             for (&d, wrow) in drow.iter().zip(tw.chunks_exact(nt)) {
+                let d: i32 = d.into();
                 if d != 0 {
                     for (p, &wv) in psums.iter_mut().zip(wrow) {
-                        *p += i32::from(d) * i32::from(wv);
+                        *p += d * i32::from(wv);
                     }
                 }
             }
@@ -1035,9 +1092,12 @@ mod tests {
         }
     }
 
-    /// The AVX2 row kernel agrees element-for-element (values *and*
-    /// clip events) with the general scalar path, including folds that
-    /// clip at tile boundaries.
+    /// The AVX2 kernels agree element-for-element (values *and* clip
+    /// events) with the general scalar path, including folds that clip
+    /// at tile boundaries: all-dense (the zmm sweep on AVX-512 hosts),
+    /// all-skip, and dense and skipping tiles mixed in one sweep, which
+    /// takes the per-tile AVX2 branch on every host. Five rows cover
+    /// the 4-row dense block and a remainder row.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_row_matches_scalar_row() {
@@ -1051,12 +1111,13 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 56) as i8
         };
-        // Adversarial shape: tall-ish tiles of ±127 blocks so K-tile
-        // folds clip, then a random odd-height tail tile.
-        let rows = 1023;
-        let k = 2 * rows + 777;
-        let row: Vec<i8> = (0..k)
-            .map(|i| if i < 2 * rows { 127 } else { next() })
+        // Adversarial shape: two tall-ish tiles of ±127 blocks so
+        // K-tile folds clip, then a random tile and an odd-height tail
+        // tile.
+        let (rows, nrows) = (1023, 5);
+        let k = 3 * rows + 5;
+        let panel: Vec<i8> = (0..nrows * k)
+            .map(|i| if i % k < 2 * rows { 127 } else { next() })
             .collect();
         let w: Vec<i8> = (0..k * LANES)
             .map(|i| {
@@ -1067,32 +1128,71 @@ mod tests {
                 }
             })
             .collect();
-        let wide: Vec<i16> = row.iter().map(|&d| i16::from(d)).collect();
-        for sparse in [false, true] {
-            let simd = staged(&w, k, LANES, rows, sparse, true);
+        let wide: Vec<i16> = panel.iter().map(|&d| i16::from(d)).collect();
+
+        let scalar = staged(&w, k, LANES, rows, false, false);
+        let mut acc_ref = vec![0i64; nrows * LANES];
+        let mut ev_ref = vec![0u64; nrows];
+        let mut scratch = vec![0i32; LANES];
+        for r in 0..nrows {
+            ev_ref[r] = row_general(
+                &scalar,
+                &panel[r * k..(r + 1) * k],
+                &mut acc_ref[r * LANES..(r + 1) * LANES],
+                &mut scratch,
+            );
+        }
+        assert!(ev_ref.iter().all(|&e| e > 0), "adversarial rows must clip");
+
+        for mix in ["dense", "skip", "mixed"] {
+            let mut simd = staged(&w, k, LANES, rows, mix == "skip", true);
+            if mix == "mixed" {
+                for (i, t) in simd.tiles.iter_mut().enumerate() {
+                    t.kernel = if i % 2 == 0 {
+                        RowKernel::SkipSimd
+                    } else {
+                        RowKernel::DenseSimd
+                    };
+                }
+            }
+            assert_eq!(simd.tiles.len(), 4);
             assert!(simd.tiles.iter().all(|t| t.kernel.is_simd()));
-            let mut acc_simd = vec![0i64; LANES];
-            let mut ev_rows = [0u64; 1];
+            let mut acc_simd = vec![0i64; nrows * LANES];
+            let mut ev_simd = vec![0u64; nrows];
             assert!(avx2::sweep_rows(
                 k,
                 &simd,
                 &wide,
                 0,
-                1,
+                nrows,
                 &mut acc_simd,
-                &mut ev_rows
+                &mut ev_simd
             ));
-            let ev_simd = ev_rows[0];
-
-            let scalar = staged(&w, k, LANES, rows, sparse, false);
-            let mut acc_ref = vec![0i64; LANES];
-            let mut scratch = vec![0i32; LANES];
-            let ev_ref = row_general(&scalar, &row, &mut acc_ref, &mut scratch);
-
-            assert_eq!(acc_simd, acc_ref);
-            assert_eq!(ev_simd, ev_ref);
-            assert!(ev_simd > 0, "adversarial row must actually clip");
+            assert_eq!(acc_simd, acc_ref, "{mix}");
+            assert_eq!(ev_simd, ev_ref, "{mix}");
         }
+    }
+
+    /// The panel is wide whenever some N-tile runs SIMD: a ragged tail
+    /// or an array taller than the exact-fold bound over a short `k`
+    /// does not demote the full-width N-tiles to the scalar kernels.
+    #[test]
+    fn wide_panel_keys_on_any_simd_n_tile() {
+        let opts = FunctionalOptions::default();
+        if !simd_enabled(opts) {
+            assert!(!wide_panel(opts, 16, LANES, 40, 32));
+            return;
+        }
+        assert!(wide_panel(opts, 16, LANES, 40, 32));
+        assert!(wide_panel(opts, 16, LANES, 40, 20), "ragged tail");
+        assert!(
+            wide_panel(opts, 1100, LANES, 500, 16),
+            "tall array, short k"
+        );
+        assert!(wide_panel(opts, 16, LANES, 0, 16), "k = 0");
+        assert!(!wide_panel(opts, 16, LANES, 40, 15), "no full N-tile");
+        assert!(!wide_panel(opts, 1100, LANES, 1100, 16), "MacSerial tile");
+        assert!(!wide_panel(opts, 16, 8, 40, 32), "narrow array");
     }
 
     /// Explicit thread requests always split (min'd with the row
