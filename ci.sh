@@ -76,10 +76,13 @@ run cargo run --release -q -p capsacc-bench --bin exp_serve
 run cargo run --release -q -p capsacc-bench --bin exp_faults
 # Engine wall-clock smoke run: refreshes BENCH_engine.json (reps/min/
 # median per row — the wall-clock perf trajectory; its host-time fields
-# vary run to run by design), then asserts ticked, functional-scalar and
-# functional-SIMD (the parallel backend) are bit-identical on a full
-# MNIST inference at the paper 16x16 design point, that explicit
-# thread counts 1/2/4 produce byte-identical batch-16 BatchRuns, that
+# vary run to run by design). The functional-SIMD rows at threads 1 and
+# auto, batch 1 and 16, are thread-scaling rows: recorded with
+# available_parallelism, never asserted on. It then asserts ticked,
+# functional-scalar and functional-SIMD (the parallel backend) are
+# bit-identical on a full MNIST inference at the paper 16x16 design
+# point, that explicit thread counts 1/2/4 produce byte-identical
+# batch-16 BatchRuns (and threads 1 the same single-image run), that
 # the functional backend clears the 10x wall-clock bound over ticked
 # and the parallel+SIMD batch path clears 5x over the PR 5 functional
 # baseline (98.20 ms/image) — both asserted on median host times.

@@ -13,8 +13,9 @@
 //!   traffic, memory report) at MNIST scale — the paper-scale extension
 //!   of the pinned tiny-scale golden digests;
 //! - explicit thread counts 1, 2 and 4 produce byte-identical
-//!   `BatchRun`s at MNIST scale (the parallel-equivalence anchor at
-//!   full size; random shapes are covered by
+//!   `BatchRun`s at MNIST scale, and `threads: 1` the same single-image
+//!   `InferenceRun` as auto (the parallel-equivalence anchor at full
+//!   size; random shapes are covered by
 //!   `tests/backend_equivalence.rs`);
 //! - the functional backend is at least 10× faster than ticked in
 //!   wall-clock time, asserted on the **median** (the ISSUE's
@@ -22,6 +23,11 @@
 //! - the SIMD batched path beats the PR 5 functional baseline
 //!   (98.20 committed ms/image at batch 16) by ≥5×, again on the
 //!   median.
+//!
+//! The functional-SIMD rows run at both `threads: 0` (auto) and
+//! `threads: 1`, at batch 1 and 16: the thread-scaling rows, recorded
+//! with the host's `available_parallelism` and never asserted on (host
+//! times on a small VM are too noisy for a gate).
 //!
 //! Every row records `reps`, the minimum and the median host time. The
 //! minimum is the classic "least-noise" estimator but is biased
@@ -46,6 +52,9 @@ use capsacc_tensor::Tensor;
 /// Timed reps per variant. Odd, so the median is an actual sample.
 const REPS: usize = 3;
 
+/// Timed variants, one per row, in row order.
+const VARIANTS: usize = 7;
+
 /// PR 5's committed functional host time at batch 16 (ms/image), the
 /// baseline the ISSUE's ≥5× bound is measured against. PR 5 recorded a
 /// min-of-reps estimator; comparing our *median* against its *min* only
@@ -55,6 +64,9 @@ const PR5_FUNCTIONAL_B16_MS_PER_IMAGE: f64 = 98.20;
 /// One measured backend row.
 struct Row {
     backend: &'static str,
+    /// `FunctionalOptions::threads` as run: `"auto"`, a count, or `"-"`
+    /// for the ticked backend.
+    threads: &'static str,
     batch: u64,
     host_ms_min: f64,
     host_ms_median: f64,
@@ -105,11 +117,17 @@ fn min_median(samples: &mut [f64]) -> (f64, f64) {
     (samples[0], samples[samples.len() / 2])
 }
 
-fn write_json(rows: &[Row], speedup_ticked: f64, speedup_pr5: f64) -> std::io::Result<()> {
+fn write_json(
+    rows: &[Row],
+    speedup_ticked: f64,
+    speedup_pr5: f64,
+    cores: usize,
+) -> std::io::Result<()> {
     let mut j = BenchJson::new("exp_engine_speed");
     j.str_field("config", "paper_16x16_250MHz");
     j.str_field("net", "mnist");
     j.field("reps", REPS);
+    j.field("available_parallelism", cores);
     j.raw(
         "functional_speedup_over_ticked",
         format!("{speedup_ticked:.1}"),
@@ -128,6 +146,7 @@ fn write_json(rows: &[Row], speedup_ticked: f64, speedup_pr5: f64) -> std::io::R
             .map(|r| {
                 json_row(&[
                     ("backend", format!("\"{}\"", r.backend)),
+                    ("threads", format!("\"{}\"", r.threads)),
                     ("batch", r.batch.to_string()),
                     ("host_ms_min", format!("{:.2}", r.host_ms_min)),
                     ("host_ms_median", format!("{:.2}", r.host_ms_median)),
@@ -148,6 +167,8 @@ fn main() {
     let ticked_cfg = AcceleratorConfig::paper();
     let mut simd_cfg = ticked_cfg;
     simd_cfg.backend = EngineBackend::Functional;
+    let mut serial_cfg = simd_cfg;
+    serial_cfg.functional.threads = 1;
     let mut scalar_cfg = simd_cfg;
     scalar_cfg.functional = FunctionalOptions {
         threads: 1,
@@ -167,9 +188,10 @@ fn main() {
     // warm-up absorbs first-touch page faults.
     let _ = run_once(simd_cfg, &net, &qparams, &image);
     // Rep-major: one row of per-variant times per interleaved pass.
-    let mut samples = [[0.0f64; 5]; REPS];
+    let mut samples = [[0.0f64; VARIANTS]; REPS];
     let (mut ticked_run, mut scalar_run, mut simd_run) = (None, None, None);
     let (mut scalar_brun, mut simd_brun) = (None, None);
+    let (mut serial_run, mut serial_brun) = (None, None);
     for rep in samples.iter_mut() {
         let (run, s) = run_once(ticked_cfg, &net, &qparams, &image);
         rep[0] = s;
@@ -186,10 +208,17 @@ fn main() {
         let (run, s) = run_batch_once(simd_cfg, &net, &qparams, &images);
         rep[4] = s;
         simd_brun = Some(run);
+        let (run, s) = run_once(serial_cfg, &net, &qparams, &image);
+        rep[5] = s;
+        serial_run = Some(run);
+        let (run, s) = run_batch_once(serial_cfg, &net, &qparams, &images);
+        rep[6] = s;
+        serial_brun = Some(run);
     }
     let ticked_run = ticked_run.expect("at least one rep");
     let (scalar_run, simd_run) = (scalar_run.expect("reps"), simd_run.expect("reps"));
     let (scalar_brun, simd_brun) = (scalar_brun.expect("reps"), simd_brun.expect("reps"));
+    let (serial_run, serial_brun) = (serial_run.expect("reps"), serial_brun.expect("reps"));
 
     // Parallel equivalence at full MNIST scale: explicit thread counts
     // must produce byte-identical BatchRuns (outputs, cycles, traffic,
@@ -204,7 +233,7 @@ fn main() {
         })
         .collect();
 
-    let stats: Vec<(f64, f64)> = (0..5)
+    let stats: Vec<(f64, f64)> = (0..VARIANTS)
         .map(|v| min_median(&mut samples.map(|rep| rep[v])))
         .collect();
     let speedup_ticked = stats[0].1 / stats[2].1;
@@ -216,8 +245,9 @@ fn main() {
     let b1_ms = ticked_cfg.cycles_to_us(total_cycles) / 1e3;
     let b16_cycles = simd_brun.cycles_per_image();
     let b16_ms = ticked_cfg.cycles_to_us(simd_brun.total_cycles()) / 1e3 / batch as f64;
-    let row = |backend, batch_n: u64, (min, med): (f64, f64), cyc, sim_ms| Row {
+    let row = |backend, threads, batch_n: u64, (min, med): (f64, f64), cyc, sim_ms| Row {
         backend,
+        threads,
         batch: batch_n,
         host_ms_min: min * 1e3 / batch_n as f64,
         host_ms_median: med * 1e3 / batch_n as f64,
@@ -225,18 +255,22 @@ fn main() {
         sim_ms_per_image: sim_ms,
     };
     let rows = vec![
-        row("ticked", 1, stats[0], b1_cycles, b1_ms),
-        row("functional-scalar", 1, stats[1], b1_cycles, b1_ms),
-        row("functional-simd", 1, stats[2], b1_cycles, b1_ms),
-        row("functional-scalar", 16, stats[3], b16_cycles, b16_ms),
-        row("functional-simd", 16, stats[4], b16_cycles, b16_ms),
+        row("ticked", "-", 1, stats[0], b1_cycles, b1_ms),
+        row("functional-scalar", "1", 1, stats[1], b1_cycles, b1_ms),
+        row("functional-simd", "auto", 1, stats[2], b1_cycles, b1_ms),
+        row("functional-simd", "1", 1, stats[5], b1_cycles, b1_ms),
+        row("functional-scalar", "1", 16, stats[3], b16_cycles, b16_ms),
+        row("functional-simd", "auto", 16, stats[4], b16_cycles, b16_ms),
+        row("functional-simd", "1", 16, stats[6], b16_cycles, b16_ms),
     ];
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
                 r.backend.to_string(),
+                r.threads.to_string(),
                 r.batch.to_string(),
                 format!("{:.2}", r.host_ms_min),
                 format!("{:.2}", r.host_ms_median),
@@ -249,6 +283,7 @@ fn main() {
         "Engine wall-clock speed — MNIST inference on the 16×16 paper config",
         &[
             "Backend",
+            "Threads",
             "Batch",
             "Host ms/img (min)",
             "Host ms/img (median)",
@@ -258,10 +293,15 @@ fn main() {
         &table,
     );
     let yes_no = |same: bool| if same { "yes" } else { "NO" };
-    let threads_same = thread_runs.iter().all(|(_, run)| *run == simd_brun);
+    let threads_same = thread_runs.iter().all(|(_, run)| *run == simd_brun)
+        && serial_run == simd_run
+        && serial_brun == simd_brun;
     println!(
         "\nBit-identity (entire InferenceRun / BatchRun): scalar = ticked: {}, \
          SIMD = ticked: {}, batch-16 scalar = SIMD: {}, threads 1/2/4 = auto: {}.\n\
+         Thread scaling (functional-SIMD median, threads 1 / auto, {cores} available \
+         cores; recorded, not asserted): batch 1 {:.2} / {:.2} ms/img, batch 16 \
+         {:.2} / {:.2} ms/img.\n\
          The functional backend computes each tile's saturating fold directly and\n\
          charges the exact ticked cycle counts. Median speedups: {speedup_ticked:.1}x\n\
          over ticked (bound 10x), {speedup_pr5:.2}x over the PR 5 functional baseline\n\
@@ -270,9 +310,13 @@ fn main() {
         yes_no(simd_run == ticked_run),
         yes_no(scalar_brun == simd_brun),
         yes_no(threads_same),
+        rows[3].host_ms_median,
+        rows[2].host_ms_median,
+        rows[6].host_ms_median,
+        rows[5].host_ms_median,
     );
 
-    match write_json(&rows, speedup_ticked, speedup_pr5) {
+    match write_json(&rows, speedup_ticked, speedup_pr5, cores) {
         Ok(()) => println!("\nWrote BENCH_engine.json"),
         Err(e) => println!("\nWARNING: could not write BENCH_engine.json: {e}"),
     }
@@ -290,6 +334,10 @@ fn main() {
     assert_eq!(
         scalar_brun, simd_brun,
         "scalar and SIMD batched runs diverged at MNIST scale"
+    );
+    assert_eq!(
+        serial_run, simd_run,
+        "threads=1 single-image run diverged from the auto-threaded run at MNIST scale"
     );
     for (threads, run) in &thread_runs {
         assert_eq!(

@@ -116,8 +116,10 @@ pub enum KernelSelect {
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct FunctionalOptions {
     /// OS threads for data-parallel row execution. `0` (the default)
-    /// resolves to [`std::thread::available_parallelism`] and applies a
-    /// minimum-work threshold so small matmuls stay serial; an explicit
+    /// resolves to [`std::thread::available_parallelism`], keeps small
+    /// matmuls serial under a minimum-work threshold, and gives every
+    /// thread at least 64 panel rows (fewer threads, or one, for short
+    /// panels such as batch-1 PrimaryCaps' 36 rows); an explicit
     /// `n ≥ 2` always splits the rows into `min(n, rows)` chunks (the
     /// setting the determinism proptests drive). `1` is fully serial.
     pub threads: usize,

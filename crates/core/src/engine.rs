@@ -616,11 +616,14 @@ impl Accelerator {
     ///   The data panel is staged once per matmul, row-major, in the one
     ///   form its kernels read (`i16` when some N-tile runs the SIMD
     ///   kernels, which a ragged tail N-tile then reads through the
-    ///   scalar path; `i8` otherwise), and each N-tile's K-tiles are
-    ///   staged into one reused buffer. Staging walks each view in
-    ///   source-contiguous order; element values, and so results,
-    ///   cannot depend on that order. Traffic is charged per tile from
-    ///   the same formulas either way.
+    ///   scalar path; `i8` otherwise), copied in source-contiguous
+    ///   order. Each N-tile's K-tiles are staged into one reused
+    ///   buffer: packed straight from the weight view into the SIMD
+    ///   kernels' pair-interleaved form (`View::pack_pairs`, no
+    ///   intermediate tile), or copied as the scalar kernels' `i8`
+    ///   slab. Element values, and so results, cannot depend on the
+    ///   walk order. Traffic is charged per tile from the same
+    ///   formulas either way.
     #[allow(clippy::too_many_arguments)]
     fn matmul_batch_functional(
         &mut self,

@@ -3,16 +3,17 @@
 //! to, in scalar and explicit-SIMD (AVX2) form, and the staged operand
 //! forms they read.
 //!
-//! Staging copies the matmul's borrowed operand views
-//! (`operand::View`) once, in source-contiguous order, into exactly
-//! one form per operand: the data panel as [`Panel::Wide`] `i16` rows
-//! when the SIMD kernels will read some N-tile ([`wide_panel`]) and as
-//! [`Panel::Narrow`] `i8` rows otherwise, with its zero count taken in
-//! the same pass; and each N-tile's weights as one [`TileWeights`]
-//! buffer holding every K-tile, pair-interleaved `i16` for the SIMD
-//! kernels or the row-major `i8` slab for the scalar ones. A ragged
-//! last N-tile beside SIMD ones reads the wide panel through the
-//! scalar general path (widening is exact).
+//! Staging reads the matmul's borrowed operand views (`operand::View`)
+//! once into exactly one form per operand: the data panel as
+//! [`Panel::Wide`] `i16` rows when the SIMD kernels will read some
+//! N-tile ([`wide_panel`]) and as [`Panel::Narrow`] `i8` rows
+//! otherwise, copied in source-contiguous order with its zero count
+//! taken in the same pass; and each N-tile's weights as one
+//! [`TileWeights`] buffer holding every K-tile, packed straight into
+//! pair-interleaved `i16` for the SIMD kernels or copied as the
+//! row-major `i8` slab for the scalar ones. A ragged last N-tile beside
+//! SIMD ones reads the wide panel through the scalar general path
+//! (widening is exact).
 //!
 //! This module is pure host-speed machinery. Every kernel evaluates the
 //! **same** function — the ticked array's saturating fold per output
@@ -64,6 +65,13 @@ const ROW_BLOCK: usize = 4;
 /// stays serial: spawn cost would dominate (the FC and routing layers
 /// issue thousands of sub-millisecond matmuls).
 const AUTO_MIN_MACS: u128 = 1 << 23;
+
+/// Fewest panel rows each thread gets under `threads: 0` (auto). Every
+/// thread streams the N-tile's whole staged weight slab, so a split
+/// pays only once each thread sweeps enough rows against it: batch-1
+/// PrimaryCaps (36 rows of `k = 20736`) ran slower on two threads than
+/// on one on a 2-vCPU AVX-512 host.
+const AUTO_MIN_ROWS_PER_THREAD: usize = 64;
 
 /// The row-level kernel chosen for one staged K-tile.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -221,8 +229,10 @@ impl TileWeights {
     /// (`KernelSelect::Auto` honors it; forcing overrides it —
     /// bit-identical either way, a speed choice only). `wide` says the
     /// panel is [`Panel::Wide`]: a full-width N-tile then takes the
-    /// SIMD kernels and stages only the interleaved form; a ragged one
-    /// stages the `i8` slab for the general path.
+    /// SIMD kernels and packs each K-tile straight from the view into
+    /// the interleaved form ([`View::pack_pairs`]: no intermediate
+    /// tile, no zero count); a ragged one copies the `i8` slab for the
+    /// general path.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn stage(
         &mut self,
@@ -271,25 +281,9 @@ impl TileWeights {
         self.inter.clear();
         if self.simd {
             self.inter.resize(inter0, WVec::default());
-            let mut tile = vec![0i8; rows.min(k) * nt];
             for t in &self.tiles {
-                let tile = &mut tile[..t.kt * nt];
-                weight.copy_block(t.k0, t.kt, n0, nt, tile);
                 let inter = &mut self.inter[t.inter0..t.inter0 + t.kt.div_ceil(2) * 2];
-                for (halves, pair) in inter.chunks_exact_mut(2).zip(tile.chunks(2 * LANES)) {
-                    let (even, odd) = pair.split_at(LANES);
-                    for (h, lanes) in halves.iter_mut().enumerate() {
-                        let cols = 8 * h..8 * h + 8;
-                        for (lane, &v) in lanes.0.chunks_exact_mut(2).zip(&even[cols.clone()]) {
-                            lane[0] = i16::from(v);
-                        }
-                        if !odd.is_empty() {
-                            for (lane, &v) in lanes.0.chunks_exact_mut(2).zip(&odd[cols]) {
-                                lane[1] = i16::from(v);
-                            }
-                        }
-                    }
-                }
+                weight.pack_pairs(t.k0, t.kt, n0, inter);
             }
         } else {
             self.narrow.resize(k * nt, 0);
@@ -331,9 +325,12 @@ pub(crate) fn simd_available() -> bool {
 /// Worker-thread count for one N-tile's row sweep. `requested` follows
 /// [`FunctionalOptions::threads`]: `0` goes parallel only when the
 /// tile grid is big enough to amortize spawn cost (so the thousands of
-/// tiny FC/routing matmuls stay serial); an explicit `n ≥ 2` *always*
-/// splits — capped by the row count — so tests can exercise the
-/// parallel path on arbitrarily small shapes.
+/// tiny FC/routing matmuls stay serial) *and* every thread gets at
+/// least [`AUTO_MIN_ROWS_PER_THREAD`] panel rows (so a short, deep
+/// panel such as batch-1 PrimaryCaps' 36 rows is not swept by threads
+/// that each stream the whole weight slab for a handful of rows); an
+/// explicit `n ≥ 2` *always* splits — capped by the row count — so
+/// tests can exercise the parallel path on arbitrarily small shapes.
 pub(crate) fn effective_threads(requested: usize, total_rows: usize, k: usize, nt: usize) -> usize {
     if total_rows <= 1 {
         return 1;
@@ -347,7 +344,8 @@ pub(crate) fn effective_threads(requested: usize, total_rows: usize, k: usize, n
                 std::thread::available_parallelism()
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(1)
-                    .min(total_rows)
+                    .min(total_rows / AUTO_MIN_ROWS_PER_THREAD)
+                    .max(1)
             }
         }
         1 => 1,
@@ -1029,6 +1027,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operand::Axis;
 
     /// The 32-bit clamp the SIMD fold uses must agree with the
     /// accumulator's shared `fold_step` on and around the clip
@@ -1054,39 +1053,76 @@ mod tests {
         }
     }
 
-    /// Stages `w` (row-major `k × nt`) as one N-tile of `rows`-high
-    /// K-tiles.
-    fn staged(w: &[i8], k: usize, nt: usize, rows: usize, sparse: bool, wide: bool) -> TileWeights {
+    /// Stages the `k × nt` block of `w` at column `n0` as one N-tile of
+    /// `rows`-high K-tiles.
+    fn staged(
+        w: &View<'_>,
+        k: usize,
+        n0: usize,
+        rows: usize,
+        sparse: bool,
+        wide: bool,
+    ) -> TileWeights {
         let mut tw = TileWeights::default();
         let opts = FunctionalOptions::default();
-        tw.stage(&View::row_major(w, nt), k, rows, 0, nt, sparse, opts, wide);
+        tw.stage(w, k, rows, n0, LANES, sparse, opts, wide);
         tw
     }
 
     /// Pair-interleaved staging reads back as `[w[2p][c], w[2p+1][c]]`
     /// with a zeroed partner on each odd tile's tail, every K-tile of
-    /// the N-tile in one buffer.
+    /// the N-tile in one buffer — through each walk of
+    /// `View::pack_pairs`: unit-stride columns (routing's `û_j`),
+    /// unit-stride rows (the `[out][patch]` conv and FC weights), and
+    /// element reads for any other layout; even and odd tile heights,
+    /// first and second N-tile.
     #[test]
     fn interleaved_weights_pair_rows_per_column() {
-        let (k, rows, nt) = (8, 5, LANES);
-        let w: Vec<i8> = (0..k * nt).map(|i| (i as i8).wrapping_mul(3)).collect();
-        let tw = staged(&w, k, nt, rows, false, true);
-        assert!(tw.tiles.iter().all(|t| t.kernel.is_simd()));
-        assert!(tw.narrow.is_empty(), "a wide N-tile stages one form only");
-        assert_eq!(tw.inter.len(), (3 + 2) * 2);
+        let (k, n) = (11, 2 * LANES);
+        let src: Vec<i8> = (0..2 * k * n + 8)
+            .map(|i| (i as i8).wrapping_mul(3))
+            .collect();
+        let views = [
+            View::row_major(&src, n),
+            View {
+                src: &src,
+                origin: 3,
+                rows: Axis::Strided(1),
+                cols: Axis::Strided(k),
+            },
+            View {
+                src: &src,
+                origin: 5,
+                rows: Axis::Strided(2),
+                cols: Axis::Strided(2 * k),
+            },
+        ];
         assert_eq!(std::mem::align_of::<WVec>(), 32);
-        for t in &tw.tiles {
-            for p in 0..t.kt.div_ceil(2) {
-                for c in 0..LANES {
-                    let lane = &tw.inter[t.inter0 + p * 2 + c / 8].0;
-                    let row = t.k0 + 2 * p;
-                    assert_eq!(lane[2 * (c % 8)], i16::from(w[row * LANES + c]));
-                    let partner = if 2 * p + 1 < t.kt {
-                        i16::from(w[(row + 1) * LANES + c])
-                    } else {
-                        0
-                    };
-                    assert_eq!(lane[2 * (c % 8) + 1], partner);
+        for view in views {
+            for rows in [4, 5] {
+                for n0 in [0, LANES] {
+                    let tw = staged(&view, k, n0, rows, false, true);
+                    let case = format!("{view:?} rows={rows} n0={n0}");
+                    assert!(tw.tiles.iter().all(|t| t.kernel.is_simd()), "{case}");
+                    assert!(tw.narrow.is_empty(), "a wide N-tile stages one form only");
+                    let pairs: usize = tw.tiles.iter().map(|t| t.kt.div_ceil(2)).sum();
+                    assert_eq!(tw.inter.len(), 2 * pairs, "{case}");
+                    for t in &tw.tiles {
+                        for p in 0..t.kt.div_ceil(2) {
+                            for c in 0..LANES {
+                                let lane = &tw.inter[t.inter0 + p * 2 + c / 8].0;
+                                let row = t.k0 + 2 * p;
+                                let partner = if 2 * p + 1 < t.kt {
+                                    i16::from(view.at(row + 1, n0 + c))
+                                } else {
+                                    0
+                                };
+                                let got = (lane[2 * (c % 8)], lane[2 * (c % 8) + 1]);
+                                let want = (i16::from(view.at(row, n0 + c)), partner);
+                                assert_eq!(got, want, "{case} row={row} c={c}");
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -1130,7 +1166,8 @@ mod tests {
             .collect();
         let wide: Vec<i16> = panel.iter().map(|&d| i16::from(d)).collect();
 
-        let scalar = staged(&w, k, LANES, rows, false, false);
+        let w = View::row_major(&w, LANES);
+        let scalar = staged(&w, k, 0, rows, false, false);
         let mut acc_ref = vec![0i64; nrows * LANES];
         let mut ev_ref = vec![0u64; nrows];
         let mut scratch = vec![0i32; LANES];
@@ -1145,7 +1182,7 @@ mod tests {
         assert!(ev_ref.iter().all(|&e| e > 0), "adversarial rows must clip");
 
         for mix in ["dense", "skip", "mixed"] {
-            let mut simd = staged(&w, k, LANES, rows, mix == "skip", true);
+            let mut simd = staged(&w, k, 0, rows, mix == "skip", true);
             if mix == "mixed" {
                 for (i, t) in simd.tiles.iter_mut().enumerate() {
                     t.kernel = if i % 2 == 0 {
@@ -1204,5 +1241,18 @@ mod tests {
         assert_eq!(effective_threads(1, 1_000_000, 1_000, 16), 1);
         assert_eq!(effective_threads(4, 1, 1_000_000, 16), 1);
         assert_eq!(effective_threads(0, 16, 8, 16), 1, "tiny auto stays serial");
+        // MNIST PrimaryCaps (k = 20736, nt = 16): 36 panel rows per
+        // image. Auto keeps batch 1 serial and splits batch 16 (576
+        // rows) on any multi-core host; explicit requests still split.
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let (b1, b16) = (
+            effective_threads(0, 36, 20736, 16),
+            effective_threads(0, 576, 20736, 16),
+        );
+        assert_eq!(b1, 1, "batch-1 PrimaryCaps");
+        assert_eq!(b16 >= 2, cores >= 2, "batch 16 on {cores} cores");
+        assert!(b16 <= cores && 576 / b16 >= AUTO_MIN_ROWS_PER_THREAD);
+        assert_eq!(effective_threads(2, 36, 20736, 16), 2);
+        assert_eq!(effective_threads(1, 576, 20736, 16), 1);
     }
 }

@@ -13,8 +13,12 @@
 //! Because a view knows its layout, staging can copy it in the order
 //! the source is contiguous ([`View::copy_block`]): unit-stride columns
 //! row by row, unit-stride rows column by column, and tabulated
-//! columns as runs of consecutive taps. The copied values are the same
-//! in any order, so this is a host-speed choice only.
+//! columns as runs of consecutive taps. The SIMD kernels' weights skip
+//! that copy: [`View::pack_pairs`] writes them straight into their
+//! pair-interleaved form. The copied values are the same in any order,
+//! so this is a host-speed choice only.
+
+use crate::kernel::{WVec, LANES};
 
 /// How one axis of a [`View`] maps an index to a source offset.
 #[derive(Copy, Clone, Debug)]
@@ -139,6 +143,59 @@ impl<'a> View<'a> {
             }
         }
         zeros
+    }
+
+    /// Packs rows `k0 .. k0 + kt` × the [`LANES`] columns from `n0`
+    /// straight into the SIMD kernels' pair-interleaved form: vector
+    /// `2q + h` of `dst` holds columns `8h .. 8h + 8` as `i16` lanes
+    /// `[(k0 + 2q, c), (k0 + 2q + 1, c)]`, the partner zero on an odd
+    /// `kt`'s last pair. The walk is pair-outer and column-inner, so
+    /// `dst` is written sequentially: a view with unit-stride rows (the
+    /// `[out][patch]` conv weights, the ClassCaps `W_ij` block) reads
+    /// each column's pair as two adjacent bytes of its `kt`-byte run,
+    /// one with unit-stride columns (routing's `û_j`) reads two
+    /// 16-byte source rows per pair, and any other layout reads each
+    /// element through [`View::at`].
+    pub(crate) fn pack_pairs(&self, k0: usize, kt: usize, n0: usize, dst: &mut [WVec]) {
+        assert_eq!(
+            dst.len(),
+            kt.div_ceil(2) * 2,
+            "destination is not {kt} rows"
+        );
+        match (self.rows, self.cols) {
+            (Axis::Strided(1), Axis::Strided(stride)) => {
+                let columns: [&[i8]; LANES] = std::array::from_fn(|c| {
+                    let base = self.origin + k0 + (n0 + c) * stride;
+                    &self.src[base..base + kt]
+                });
+                pack_pairs_with(dst, kt, |r, c| columns[c][r]);
+            }
+            (Axis::Strided(stride), Axis::Strided(1)) => {
+                let base = self.origin + k0 * stride + n0;
+                pack_pairs_with(dst, kt, |r, c| self.src[base + r * stride + c]);
+            }
+            _ => pack_pairs_with(dst, kt, |r, c| self.at(k0 + r, n0 + c)),
+        }
+    }
+}
+
+/// The walk of [`View::pack_pairs`] over tile element `(r, c)`: pair
+/// `q` outer, column inner, so `dst` is written sequentially.
+#[inline(always)]
+fn pack_pairs_with(dst: &mut [WVec], kt: usize, elem: impl Fn(usize, usize) -> i8) {
+    for (q, halves) in dst.chunks_exact_mut(2).enumerate() {
+        let paired = 2 * q + 1 < kt;
+        for (h, vec) in halves.iter_mut().enumerate() {
+            for (j, lane) in vec.0.chunks_exact_mut(2).enumerate() {
+                let c = 8 * h + j;
+                lane[0] = i16::from(elem(2 * q, c));
+                lane[1] = if paired {
+                    i16::from(elem(2 * q + 1, c))
+                } else {
+                    0
+                };
+            }
+        }
     }
 }
 
